@@ -18,6 +18,7 @@ import csv
 import itertools
 import logging
 import math
+import re
 import time
 from dataclasses import dataclass, field
 
@@ -41,6 +42,9 @@ CSV_COLUMNS = GRID_AXES + (
     "project_seconds",
 )
 TIMING_COLUMNS = ("fit_seconds", "project_seconds")
+# Scalar keys of an experiment config besides the grid axes.
+CONFIG_KEYS = ("data", "split", "train_size", "test_size", "repeats", "folds",
+               "split_seed", "seed", "fit_repeats")
 
 _AXIS_DEFAULTS = {
     "m": "d",
@@ -99,12 +103,13 @@ def _parse_bool(symbol):
 def parse_config_text(text):
     """Parse the flat ``key = value[, value...]`` config grammar.
 
-    Full-line ``#`` comments and blank lines are ignored.  Values are kept as
-    strings; comma-separated values become lists.
+    Full-line ``#`` comments, trailing comments (a ``#`` after whitespace)
+    and blank lines are ignored.  Values are kept as strings;
+    comma-separated values become lists.
     """
     out = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
+        line = re.split(r"\s#", raw, maxsplit=1)[0].strip()
         if not line or line.startswith("#"):
             continue
         key, sep, value = line.partition("=")
@@ -141,7 +146,6 @@ class ExperimentConfig:
     plan: SplitPlan
     grid: dict = field(default_factory=dict)  # axis -> list of symbolic values
     seed: int = 0
-    threads: int = 1
     fit_repeats: int = 1
 
     def __post_init__(self):
@@ -156,9 +160,12 @@ class ExperimentConfig:
             raise ValueError("fit_repeats must be >= 1")
 
 
-def experiment_from_config(text, data=None, seed=None, threads=None):
+def experiment_from_config(text, data=None, seed=None):
     """Build an :class:`ExperimentConfig` from config text plus CLI overrides."""
     raw = parse_config_text(text)
+    unknown = sorted(set(raw) - set(GRID_AXES) - set(CONFIG_KEYS))
+    if unknown:
+        raise ValueError("unknown config key(s): {}".format(", ".join(unknown)))
     grid = {axis: raw[axis] for axis in GRID_AXES if axis in raw}
 
     mode = _scalar(raw, "split", "shuffled_repeats")
@@ -173,7 +180,6 @@ def experiment_from_config(text, data=None, seed=None, threads=None):
         seed=int(_scalar(raw, "split_seed", "0")),
     )
     cfg_seed = seed if seed is not None else int(_scalar(raw, "seed", "0"))
-    cfg_threads = threads if threads is not None else int(_scalar(raw, "threads", "1"))
     cfg_data = data if data is not None else _scalar(raw, "data")
     if cfg_data is None:
         raise ValueError("no dataset path: pass --data or set 'data' in the config")
@@ -182,7 +188,6 @@ def experiment_from_config(text, data=None, seed=None, threads=None):
         plan=plan,
         grid=grid,
         seed=cfg_seed,
-        threads=cfg_threads,
         fit_repeats=int(_scalar(raw, "fit_repeats", "1")),
     )
 
@@ -240,7 +245,7 @@ def run_grid(cfg, ds=None):
                     master_seed = cfg.seed * 1_000_003 + repeat
                     ens_cfg, m, k, s = make_ensemble_config(point, d, p, master_seed)
                     tic = time.perf_counter()
-                    ensemble, timing = fit_timed(train, ens_cfg, n_jobs=cfg.threads)
+                    ensemble, timing = fit_timed(train, ens_cfg)
                     fit_seconds = time.perf_counter() - tic
                     scores = ensemble.predict(test.X_rows())
                     value = lrap(scores, test.Y_rows())

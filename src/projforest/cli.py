@@ -42,9 +42,7 @@ def _read_text(path):
 
 def _cmd_fit(args):
     text = _read_text(args.config) if args.config else "split = fixed_holdout"
-    cfg = experiment_from_config(
-        text, data=args.data, seed=args.seed, threads=args.threads
-    )
+    cfg = experiment_from_config(text, data=args.data, seed=args.seed)
     for axis, values in cfg.grid.items():
         if len(values) != 1:
             raise ValueError(
@@ -66,7 +64,7 @@ def _cmd_fit(args):
         train, test = make_splits(ds, cfg.plan)[0]
     else:
         train, test = ds, None
-    ensemble, timing = fit_timed(train, ens_cfg, n_jobs=cfg.threads)
+    ensemble, timing = fit_timed(train, ens_cfg)
     print(
         "fitted t={} policy={} m={} k={} in {:.3f}s (projection {:.3f}s)".format(
             ens_cfg.t,
@@ -94,7 +92,7 @@ def _cmd_grid(args):
     if not args.out:
         raise ValueError("grid requires --out")
     cfg = experiment_from_config(
-        _read_text(args.config), data=args.data, seed=args.seed, threads=args.threads
+        _read_text(args.config), data=args.data, seed=args.seed
     )
     rows = run_grid(cfg)
     write_grid_csv(rows, args.out)
@@ -140,7 +138,7 @@ def _cmd_decompose(args):
         n_train=int(get("n_train", 100)), noise_sd=float(get("noise_sd", 0.1))
     )
     tree = TreeConfig(
-        k=int(get("k", 1)),
+        k=int(get("k", 2)),
         n_min=int(get("n_min", 25)),
         splitter=get("splitter", "random_threshold"),
         bootstrap=get("bootstrap", "false").lower() == "true",
@@ -191,7 +189,6 @@ def build_parser():
         cmd.add_argument("--data", help="dataset path (or input CSV for summarize)")
         cmd.add_argument("--config", help="flat key/value config file")
         cmd.add_argument("--seed", type=int, default=None)
-        cmd.add_argument("--threads", type=int, default=None)
         cmd.add_argument("--out", help="output path")
         if name == "summarize":
             cmd.add_argument(

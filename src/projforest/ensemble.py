@@ -15,7 +15,6 @@ identity-projection vs no-projection runs, reproduce each other exactly.
 
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .data import to_dense
@@ -57,10 +56,9 @@ class Ensemble:
     FORMAT = "projforest-ensemble"
     VERSION = 1
 
-    def __init__(self, trees, config, projections):
+    def __init__(self, trees, config):
         self.trees = trees
         self.config = config
-        self.projections = projections  # realized matrices: 0, 1 or t of them
 
     @property
     def t(self):
@@ -76,13 +74,9 @@ class Ensemble:
 
     def predict(self, X):
         """Average of the per-tree leaf vectors, an (n, d) array in [0, 1]
-        for binary labels (entries are averaged label frequencies)."""
-        if X.shape[1] != self.n_features:
-            raise ValueError(
-                "X has {} features, ensemble expects {}".format(
-                    X.shape[1], self.n_features
-                )
-            )
+        for binary labels (entries are averaged label frequencies).  X is
+        densified once for all trees; each tree checks its width and values."""
+        X = to_dense(X)
         acc = self.trees[0].predict(X).copy()
         for tree in self.trees[1:]:
             acc += tree.predict(X)
@@ -134,85 +128,60 @@ class Ensemble:
             master_seed=doc["master_seed"],
         )
         trees = [Tree.from_dict(td) for td in doc["trees"]]
-        return cls(trees, config, [])
+        if len(trees) != config.t:
+            raise ValueError("document declares t={} but holds {} trees".format(
+                config.t, len(trees)))
+        if len({(tree.n_features, tree.n_outputs) for tree in trees}) != 1:
+            raise ValueError("trees disagree on the feature or label count")
+        return cls(trees, config)
 
 
-def fit(ds, cfg, n_jobs=1):
+def fit(ds, cfg):
     """Fit an ensemble on a dataset view.  Deterministic given the config."""
     ensemble, _ = _fit_arrays(
-        ds.X_rows(), ds.Y_rows(), cfg, cfg.master_seed, cfg.master_seed, n_jobs
+        ds.X_rows(), ds.Y_rows(), cfg, cfg.master_seed, cfg.master_seed
     )
     return ensemble
 
 
-def fit_timed(ds, cfg, n_jobs=1):
-    """Like :func:`fit` but also reports projection vs growth wall time.
-
-    Timing attribution is only meaningful with ``n_jobs=1`` (phases overlap
-    under a thread pool).
-    """
+def fit_timed(ds, cfg):
+    """Like :func:`fit` but also reports projection vs growth wall time."""
     return _fit_arrays(
-        ds.X_rows(), ds.Y_rows(), cfg, cfg.master_seed, cfg.master_seed, n_jobs
+        ds.X_rows(), ds.Y_rows(), cfg, cfg.master_seed, cfg.master_seed
     )
 
 
-def _fit_arrays(X, Y, cfg, phi_seed, eps_seed, n_jobs=1):
+def _fit_arrays(X, Y, cfg, phi_seed, eps_seed):
     """Fitting core on raw matrices, with independently seedable projection
     and tree-randomness streams (the nested Monte Carlo harnesses vary one
-    while holding the other)."""
+    while holding the other).  Trees are grown one after another on X
+    densified once."""
+    X = to_dense(X)
     d = Y.shape[1]
     t = cfg.t
-    proj_time = 0.0
-    grow_time = 0.0
-
-    shared_phi = None
-    shared_z = None
+    phi = z = None
     tic = time.perf_counter()
     if cfg.policy == "no_projection":
-        shared_z = to_dense(Y)
+        z = to_dense(Y)
     elif cfg.projection.kind == "pca":
         # Data-dependent and deterministic, so both policies share one map.
-        shared_phi = pca_projection(Y, cfg.projection.m)
-        shared_z = project(shared_phi, Y)
+        phi = pca_projection(Y, cfg.projection.m)
+        z = project(phi, Y)
     elif cfg.policy == "shared_subspace":
-        shared_phi = generate(cfg.projection, d, RngStream(phi_seed, 0))
-        shared_z = project(shared_phi, Y)
-    proj_time += time.perf_counter() - tic
+        phi = generate(cfg.projection, d, RngStream(phi_seed, 0))
+        z = project(phi, Y)
+    proj_time = time.perf_counter() - tic
+    grow_time = 0.0
+    per_tree = z is None
 
-    per_tree = shared_z is None
-    phis = [None] * t
-
-    def build_tree(j):
-        gen_seconds = 0.0
+    trees = []
+    for j in range(t):
         if per_tree:
             tic = time.perf_counter()
             phi = generate(cfg.projection, d, RngStream(phi_seed, j))
             z = project(phi, Y)
-            gen_seconds = time.perf_counter() - tic
-        else:
-            phi = shared_phi
-            z = shared_z
+            proj_time += time.perf_counter() - tic
         tic = time.perf_counter()
-        tree = grow_arrays(X, Y, phi, cfg.tree, RngStream(eps_seed, t + j), Z=z)
-        return tree, phi, gen_seconds, time.perf_counter() - tic
-
-    if n_jobs > 1:
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            results = list(pool.map(build_tree, range(t)))
-    else:
-        results = [build_tree(j) for j in range(t)]
-
-    trees = []
-    for j, (tree, phi, gen_seconds, grow_seconds) in enumerate(results):
-        trees.append(tree)
-        phis[j] = phi
-        proj_time += gen_seconds
-        grow_time += grow_seconds
-
-    if cfg.policy == "no_projection":
-        projections = []
-    elif per_tree:
-        projections = phis
-    else:
-        projections = [shared_phi]
-    return Ensemble(trees, cfg, projections), FitTiming(proj_time, grow_time)
+        trees.append(grow_arrays(X, Y, phi, cfg.tree, RngStream(eps_seed, t + j), Z=z))
+        grow_time += time.perf_counter() - tic
+    return Ensemble(trees, cfg), FitTiming(proj_time, grow_time)

@@ -86,7 +86,7 @@ def variance_sum_pairwise(Y_rows):
     return float(np.einsum("ijk,ijk->", diffs, diffs) / (2.0 * q * q))
 
 
-def _scan_exhaustive(cols, Zs, M, M2, samples, features):
+def _scan_exhaustive(X, Zs, M, M2, samples, features):
     """Best midpoint split over the given features; None when no gain > 0.
 
     For each feature the samples are sorted once and every boundary between
@@ -98,7 +98,7 @@ def _scan_exhaustive(cols, Zs, M, M2, samples, features):
     best_gain = 0.0
     best = None
     for f in features:
-        v = cols(f)[samples]
+        v = X[:, f][samples]
         order = np.argsort(v, kind="stable")
         vs = v[order]
         if vs[0] == vs[-1]:
@@ -130,13 +130,13 @@ def _scan_exhaustive(cols, Zs, M, M2, samples, features):
     )
 
 
-def _scan_random_threshold(cols, Zs, M, M2, samples, features, gen):
+def _scan_random_threshold(X, Zs, M, M2, samples, features, gen):
     """One uniform cut in (min, max) per feature; keep the best-scoring one."""
     q = samples.size
     best_gain = 0.0
     best = None
     for f in features:
-        v = cols(f)[samples]
+        v = X[:, f][samples]
         lo = float(v.min())
         hi = float(v.max())
         if lo == hi:
@@ -160,59 +160,28 @@ def _scan_random_threshold(cols, Zs, M, M2, samples, features, gen):
     return SplitRecord(f, thr, best_gain), samples[mask], samples[~mask]
 
 
-def _dense_column_accessor(X, rows, subset):
-    if subset:
-        Xt = X[rows]
-        return lambda f: Xt[:, f]
-    return lambda f: X[:, f]
-
-
-def _sparse_column_accessor(X, rows, subset):
-    Xc = X.tocsc()
-    cache = {}
-
-    def cols(f):
-        col = cache.get(f)
-        if col is None:
-            col = np.asarray(Xc[:, [f]].todense()).ravel()
-            if subset:
-                col = col[rows]
-            cache[f] = col
-        return col
-
-    return cols
+def _best_split(scan, X, Z, samples, features, *gen):
+    """Validate a one-shot node search, then run ``scan`` over the node."""
+    samples = np.asarray(samples, dtype=np.int64)
+    features = np.sort(np.asarray(features, dtype=np.int64))
+    if samples.size < 2:
+        raise ValueError("need at least two samples to split")
+    if features.size == 0:
+        raise ValueError("feature subset must be non-empty")
+    Zs = np.asarray(Z, dtype=np.float64)[samples]
+    M = Zs.sum(axis=0)
+    found = scan(to_dense(X), Zs, M, float(M @ M), samples, features, *gen)
+    return None if found is None else found[0]
 
 
 def best_split_exhaustive(X, Z, samples, features):
-    """Public one-shot exhaustive split search over a node (dense X)."""
-    samples = np.asarray(samples, dtype=np.int64)
-    features = np.sort(np.asarray(features, dtype=np.int64))
-    if samples.size < 2:
-        raise ValueError("need at least two samples to split")
-    if features.size == 0:
-        raise ValueError("feature subset must be non-empty")
-    Zs = np.asarray(Z, dtype=np.float64)[samples]
-    M = Zs.sum(axis=0)
-    M2 = float(M @ M)
-    cols = _dense_column_accessor(np.asarray(X, dtype=np.float64), None, False)
-    found = _scan_exhaustive(cols, Zs, M, M2, samples, features)
-    return None if found is None else found[0]
+    """Public one-shot exhaustive split search over a node."""
+    return _best_split(_scan_exhaustive, X, Z, samples, features)
 
 
 def best_split_random_threshold(X, Z, samples, features, rng):
-    """Public one-shot random-threshold split search over a node (dense X)."""
-    samples = np.asarray(samples, dtype=np.int64)
-    features = np.sort(np.asarray(features, dtype=np.int64))
-    if samples.size < 2:
-        raise ValueError("need at least two samples to split")
-    if features.size == 0:
-        raise ValueError("feature subset must be non-empty")
-    Zs = np.asarray(Z, dtype=np.float64)[samples]
-    M = Zs.sum(axis=0)
-    M2 = float(M @ M)
-    cols = _dense_column_accessor(np.asarray(X, dtype=np.float64), None, False)
-    found = _scan_random_threshold(cols, Zs, M, M2, samples, features, rng.generator)
-    return None if found is None else found[0]
+    """Public one-shot random-threshold split search over a node."""
+    return _best_split(_scan_random_threshold, X, Z, samples, features, rng.generator)
 
 
 class Tree:
@@ -260,36 +229,30 @@ class Tree:
     def n_outputs(self):
         return self.leaf_values.shape[1]
 
-    def _route_dense(self, Xd):
-        node = np.zeros(Xd.shape[0], dtype=np.int64)
-        while True:
-            f = self.feature[node]
-            active = f >= 0
-            if not active.any():
-                return node
-            idx = np.nonzero(active)[0]
-            nd = node[idx]
-            go_left = Xd[idx, f[idx]] <= self.threshold[nd]
-            node[idx] = np.where(
-                go_left, self.children_left[nd], self.children_right[nd]
-            )
-
     def apply(self, X):
-        """Leaf index reached by every row of X."""
+        """Leaf index reached by every row of X (dense or sparse).  Rows with a
+        non-finite value are rejected."""
         if X.shape[1] != self.n_features:
             raise ValueError(
                 "X has {} features, tree expects {}".format(
                     X.shape[1], self.n_features
                 )
             )
-        if sp.issparse(X):
-            out = np.empty(X.shape[0], dtype=np.int64)
-            for start in range(0, X.shape[0], 512):
-                stop = min(start + 512, X.shape[0])
-                chunk = np.asarray(X[start:stop].todense())
-                out[start:stop] = self.leaf_id[self._route_dense(chunk)]
-            return out
-        return self.leaf_id[self._route_dense(np.asarray(X, dtype=np.float64))]
+        X = to_dense(X)
+        if not np.isfinite(X).all():
+            raise ValueError("X contains non-finite values")
+        node = np.zeros(X.shape[0], dtype=np.int64)
+        while True:
+            f = self.feature[node]
+            active = f >= 0
+            if not active.any():
+                return self.leaf_id[node]
+            idx = np.nonzero(active)[0]
+            nd = node[idx]
+            go_left = X[idx, f[idx]] <= self.threshold[nd]
+            node[idx] = np.where(
+                go_left, self.children_left[nd], self.children_right[nd]
+            )
 
     def predict(self, X):
         """Leaf vector (length d) for every row of X, as an (n, d) array."""
@@ -336,7 +299,7 @@ class Tree:
             raise ValueError(
                 "unsupported tree document version: {!r}".format(doc.get("version"))
             )
-        return cls(
+        tree = cls(
             feature=np.asarray(doc["feature"], dtype=np.int64),
             threshold=np.asarray(doc["threshold"], dtype=np.float64),
             children_left=np.asarray(doc["children_left"], dtype=np.int64),
@@ -349,6 +312,30 @@ class Tree:
             leaf_counts=np.asarray(doc["leaf_counts"], dtype=np.int64),
             n_features=doc["n_features"],
         )
+        tree._check_structure()
+        return tree
+
+    def _check_structure(self):
+        """Reject arrays that do not encode one binary tree, so that routing
+        always ends at a leaf and every leaf has its own ``leaf_values`` row."""
+        n = self.n_nodes
+        per_node = (self.threshold, self.children_left, self.children_right,
+                    self.impurity_reduction, self.leaf_id)
+        if any(a.shape != (n,) for a in per_node):
+            raise ValueError("tree document: node arrays differ in length")
+        split = self.feature >= 0
+        parent = np.tile(np.nonzero(split)[0], 2)
+        children = np.concatenate([self.children_left[split], self.children_right[split]])
+        if (children <= parent).any() or (children >= n).any():
+            raise ValueError("tree document: a child index is out of range "
+                             "or not above its parent's")
+        if not np.array_equal(np.sort(children), np.arange(1, n)):
+            raise ValueError("tree document: a non-root node has no parent or two")
+        if (self.feature >= self.n_features).any():
+            raise ValueError("tree document: a split feature is out of range")
+        if not np.array_equal(np.sort(self.leaf_id[~split]), np.arange(self.n_leaves)):
+            raise ValueError("tree document: leaf_id is not one-to-one onto "
+                             "the leaf_values rows")
 
 
 def trees_equal(a, b):
@@ -379,9 +366,10 @@ def grow(ds, phi, cfg, rng):
 def grow_arrays(X, Y, phi, cfg, rng, Z=None):
     """Grow one tree from raw matrices.
 
-    ``X`` is (n, p) dense or CSR, ``Y`` is (n, d) dense or CSR.  ``Z`` may
-    carry a precomputed projection of Y (used to time projection separately
-    from growth); otherwise it is computed here.
+    ``X`` is (n, p) dense or CSR (densified; dense float64 is not copied),
+    ``Y`` is (n, d) dense or CSR.  ``Z`` may carry a precomputed projection
+    of Y (used to time projection separately from growth); otherwise it is
+    computed here.
     """
     n, p = X.shape
     d = Y.shape[1]
@@ -400,19 +388,13 @@ def grow_arrays(X, Y, phi, cfg, rng, Z=None):
         Z = project(phi, Y) if phi is not None else to_dense(Y)
     gen = rng.generator
 
+    X = to_dense(X)
     if cfg.bootstrap:
         rows = gen.integers(0, n, size=n)
-        Zt = Z[rows]
-        subset = True
+        Xt, Zt = X[rows], Z[rows]
     else:
         rows = np.arange(n, dtype=np.int64)
-        Zt = Z
-        subset = False
-
-    if sp.issparse(X):
-        cols = _sparse_column_accessor(X, rows, subset)
-    else:
-        cols = _dense_column_accessor(X, rows, subset)
+        Xt, Zt = X, Z
 
     znorm2 = np.einsum("ij,ij->i", Zt, Zt)
     n_t = rows.size
@@ -452,10 +434,10 @@ def grow_arrays(X, Y, phi, cfg, rng, Z=None):
                 chosen.sort()
                 if random_splitter:
                     found = _scan_random_threshold(
-                        cols, Zs, M, M2, samples, chosen, gen
+                        Xt, Zs, M, M2, samples, chosen, gen
                     )
                 else:
-                    found = _scan_exhaustive(cols, Zs, M, M2, samples, chosen)
+                    found = _scan_exhaustive(Xt, Zs, M, M2, samples, chosen)
         if found is None:
             leaf_of[node] = len(leaf_members)
             leaf_members.append(samples)

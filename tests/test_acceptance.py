@@ -186,7 +186,7 @@ def _find_dataset(name):
 def _mean_lrap(ds, plan, ens_cfg_for):
     values = []
     for repeat, (train, test) in enumerate(make_splits(ds, plan)):
-        ensemble = fit(train, ens_cfg_for(repeat), n_jobs=int(os.environ.get("PROJFOREST_JOBS", "1")))
+        ensemble = fit(train, ens_cfg_for(repeat))
         values.append(lrap(ensemble.predict(test.X_rows()), test.Y_rows()))
     return float(np.mean(values)), float(np.std(values))
 

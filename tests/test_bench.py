@@ -1,5 +1,6 @@
 import logging
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -55,6 +56,29 @@ class TestConfigParsing:
         assert cfg.grid["m"] == ["1", "d"]
         assert cfg.grid["k"] == ["sqrt_p"]  # default
         assert cfg.seed == 3
+
+    def test_trailing_comments_stripped(self):
+        raw = parse_config_text(
+            "split = kfold   # fixed_holdout | kfold\n"
+            "m = 1, d\t# two values\n"
+            "  # an indented comment line\n"
+            "data = runs/a#b.svm\n"
+        )
+        assert raw == {"split": ["kfold"], "m": ["1", "d"], "data": ["runs/a#b.svm"]}
+
+    def test_readme_example_config_parses(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        example = readme.split("### Config file grammar")[1].split("```")[1]
+        cfg = experiment_from_config(example)
+        assert cfg.data == "data/emotions.svm"
+        assert cfg.plan.mode == "shuffled_repeats"
+        assert (cfg.plan.n_train, cfg.plan.n_test) == (391, 202)
+        assert cfg.seed == 7
+        assert cfg.grid["m"] == ["1", "ln_d", "d"]
+
+    def test_unknown_keys_rejected(self):
+        with pytest.raises(ValueError, match="threads, trees"):
+            experiment_from_config("data = x.svm\nthreads = 2\ntrees = 5\nm = 1\n")
 
     def test_overrides_win(self):
         cfg = experiment_from_config("data = x.svm\nseed = 3\n", data="y.svm", seed=9)

@@ -112,6 +112,19 @@ class TestDecomposeCommand:
         assert out.read_text().startswith("probe,term,estimate,se")
 
 
+    def test_policies_differ_under_the_defaults(self, tmp_path, capsys):
+        totals = {}
+        for policy in ("shared_subspace", "per_tree_subspace"):
+            cfg = tmp_path / "{}.cfg".format(policy)
+            cfg.write_text("n_ls = 6\nn_phi = 4\nn_eps = 4\npolicy = {}\n".format(policy))
+            out = tmp_path / "{}.csv".format(policy)
+            assert main(["decompose", "--config", str(cfg), "--seed", "7",
+                         "--out", str(out)]) == 0
+            rows = [line.split(",") for line in out.read_text().splitlines()]
+            totals[policy] = [float(r[2]) for r in rows if r[1] == "total_direct"]
+        assert totals["shared_subspace"] != totals["per_tree_subspace"]
+
+
 class TestModuleEntryPoint:
     def test_python_dash_m(self, tmp_path):
         data = write_dataset(tmp_path, n=40)

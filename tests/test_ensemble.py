@@ -1,16 +1,25 @@
+import json
 import time
+from functools import lru_cache
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from projforest import (
     EnsembleConfig,
     Ensemble,
     ProjectionSpec,
+    RngStream,
     TreeConfig,
     fit,
     fit_timed,
+    generate,
+    grow_arrays,
     make_synthetic_multilabel,
+    pca_projection,
     to_dense,
     trees_equal,
 )
@@ -46,25 +55,43 @@ class TestPolicies:
 
     def test_per_tree_maps_are_distinct(self):
         ds = small_data(seed=2)
-        ens = fit(ds, config("per_tree_subspace", t=3))
-        mats = [to_dense(phi.matrix) for phi in ens.projections]
-        assert len(mats) == 3
+        cfg = config("per_tree_subspace", t=3)
+        phis = [generate(cfg.projection, 8, RngStream(cfg.master_seed, j))
+                for j in range(3)]
+        mats = [to_dense(phi.matrix) for phi in phis]
         assert not np.array_equal(mats[0], mats[1])
         assert not np.array_equal(mats[0], mats[2])
         assert not np.array_equal(mats[1], mats[2])
+        assert_trees_follow_seed_discipline(ds, cfg, phis)
 
     def test_shared_policy_stores_one_map(self):
+        # Every tree is grown on the one map drawn from projection stream 0.
         ds = small_data(seed=3)
-        ens = fit(ds, config("shared_subspace", t=3))
-        assert len(ens.projections) == 1
-        assert fit(ds, config("no_projection", t=2)).projections == []
+        cfg = config("shared_subspace", t=3)
+        phi = generate(cfg.projection, 8, RngStream(cfg.master_seed, 0))
+        assert_trees_follow_seed_discipline(ds, cfg, [phi] * 3)
+        assert_trees_follow_seed_discipline(ds, config("no_projection", t=2), [None] * 2)
 
     def test_pca_policy(self):
         ds = small_data(seed=4)
-        ens = fit(ds, config("per_tree_subspace", kind="pca", m=2, t=2))
-        assert ens.projections[0].kind == "pca"
+        cfg = config("per_tree_subspace", kind="pca", m=2, t=2)
+        phi = pca_projection(ds.Y_rows(), 2)
+        assert phi.kind == "pca"
+        ens = assert_trees_follow_seed_discipline(ds, cfg, [phi] * 2)
         preds = ens.predict(ds.X_rows())
         assert preds.shape == (60, 8)
+
+
+def assert_trees_follow_seed_discipline(ds, cfg, phis):
+    """Tree j of the fit equals a tree grown on map ``phis[j]`` with tree
+    stream ``t + j``; returns the fitted ensemble."""
+    ens = fit(ds, cfg)
+    assert ens.t == len(phis)
+    for j, (tree, phi) in enumerate(zip(ens.trees, phis)):
+        expected = grow_arrays(ds.X_rows(), ds.Y_rows(), phi, cfg.tree,
+                               RngStream(cfg.master_seed, cfg.t + j))
+        assert trees_equal(tree, expected)
+    return ens
 
 
 class TestPredict:
@@ -105,6 +132,38 @@ class TestPredict:
         with pytest.raises(ValueError):
             ens.predict(np.zeros((3, 7)))
 
+    def test_non_finite_rows_rejected(self):
+        ds = small_data(seed=8)
+        ens = fit(ds, config("no_projection"))
+        for bad in (np.nan, np.inf, -np.inf):
+            X = np.array(ds.X_rows()[:3])
+            X[1, 0] = bad
+            for rows in (X, sp.csr_matrix(X)):
+                with pytest.raises(ValueError, match="non-finite"):
+                    ens.predict(rows)
+                with pytest.raises(ValueError, match="non-finite"):
+                    ens.trees[0].apply(rows)
+
+
+@lru_cache(maxsize=None)
+def property_forest(seed):
+    return fit(small_data(seed=20), config("per_tree_subspace", t=4, seed=seed))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_predict_on_csr_and_dense_rows_is_the_mean_of_tree_walks(data):
+    ens = property_forest(data.draw(st.integers(0, 3)))
+    # Values exactly at a threshold exercise the "<= goes left" boundary.
+    cuts = sorted({float(v) for tree in ens.trees for v in tree.threshold[tree.feature >= 0]})
+    value = st.floats(-6.0, 6.0) | st.sampled_from(cuts) | st.just(0.0)
+    n_rows = data.draw(st.integers(1, 6))
+    X = data.draw(arrays(np.float64, (n_rows, ens.n_features), elements=value))
+    dense = ens.predict(X)
+    np.testing.assert_array_equal(ens.predict(sp.csr_matrix(X)), dense)
+    walks = [sum(tree.predict_one(x) for tree in ens.trees) / ens.t for x in X]
+    np.testing.assert_array_equal(dense, np.array(walks))
+
 
 class TestDeterminism:
     def test_repeated_fit_is_bit_identical(self):
@@ -116,14 +175,6 @@ class TestDeterminism:
             assert trees_equal(ta, tb)
         X = ds.X_rows()
         np.testing.assert_array_equal(a.predict(X), b.predict(X))
-
-    def test_parallel_fit_matches_serial(self):
-        ds = small_data(seed=10)
-        cfg = config("per_tree_subspace", t=6)
-        serial = fit(ds, cfg, n_jobs=1)
-        parallel = fit(ds, cfg, n_jobs=3)
-        for ta, tb in zip(serial.trees, parallel.trees):
-            assert trees_equal(ta, tb)
 
 
 class TestAverageModelEquality:
@@ -164,6 +215,46 @@ class TestSaveLoad:
         path.write_text('{"format": "something-else"}')
         with pytest.raises(ValueError):
             Ensemble.load(path)
+
+    @pytest.mark.parametrize("mutate, message", [
+        (lambda doc: set_child(doc, "children_right", split_nodes(doc)[-1], 0),
+         "child index"),
+        (lambda doc: set_child(doc, "children_left", 0, len(doc["trees"][0]["feature"])),
+         "child index"),
+        (lambda doc: set_child(doc, "children_right", 0,
+                               doc["trees"][0]["children_left"][0]),
+         "no parent or two"),
+        (lambda doc: repeat_first_leaf_id(doc["trees"][0]), "leaf_id"),
+        (lambda doc: doc.update(t=5), "t=5"),
+        (lambda doc: doc["trees"][1].update(n_features=doc["trees"][1]["n_features"] + 1),
+         "feature or label count"),
+        (lambda doc: doc["trees"][1].update(
+            leaf_values=[row[:-1] for row in doc["trees"][1]["leaf_values"]]),
+         "feature or label count"),
+    ], ids=["cycle-to-root", "child-out-of-range", "two-parents", "leaf-id-repeated",
+            "t-mismatch", "n-features-mismatch", "label-count-mismatch"])
+    def test_corrupt_model_rejected(self, tmp_path, mutate, message):
+        ens = fit(small_data(seed=13), config("per_tree_subspace", t=2))
+        path = tmp_path / "model.json"
+        ens.save(path)
+        doc = json.loads(path.read_text())
+        mutate(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=message):
+            Ensemble.load(path)
+
+
+def split_nodes(doc):
+    return [i for i, f in enumerate(doc["trees"][0]["feature"]) if f >= 0]
+
+
+def set_child(doc, side, node, child):
+    doc["trees"][0][side][node] = child
+
+
+def repeat_first_leaf_id(tree):
+    leaves = [i for i, f in enumerate(tree["feature"]) if f < 0]
+    tree["leaf_id"][leaves[1]] = tree["leaf_id"][leaves[0]]
 
 
 class TestFitTimed:

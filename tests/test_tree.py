@@ -249,10 +249,12 @@ class TestGrow:
         X = gen.random((40, 6))
         X[X < 0.5] = 0.0
         Y = sp.csr_matrix((gen.random((40, 5)) < 0.4).astype(float))
-        cfg = TreeConfig(k=3, n_min=3, bootstrap=True)
-        a = grow(DataSet(X, Y), None, cfg, RngStream(5, 0))
-        b = grow(DataSet(sp.csr_matrix(X), Y), None, cfg, RngStream(5, 0))
-        assert trees_equal(a, b)
+        for splitter in ("exhaustive", "random_threshold"):
+            for bootstrap in (False, True):
+                cfg = TreeConfig(k=3, n_min=3, splitter=splitter, bootstrap=bootstrap)
+                a = grow(DataSet(X, Y), None, cfg, RngStream(5, 0))
+                b = grow(DataSet(sp.csr_matrix(X), Y), None, cfg, RngStream(5, 0))
+                assert trees_equal(a, b)
 
     def test_continuous_outputs_supported(self):
         gen = np.random.default_rng(10)
