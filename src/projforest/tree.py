@@ -3,9 +3,12 @@
 The tree structure is chosen by variance reduction computed on a compressed
 output matrix Z, while leaf predictions are always component-wise means of the
 original outputs, so no decoding step is ever needed at prediction time.  The
-split scan is vectorized over thresholds with running per-dimension sums, so
-its cost per node is O(q * m) for q samples and m output dimensions: shrinking
-m shrinks training time proportionally.
+exhaustive split scan scores every threshold of all k candidate features of a
+node in one vectorized pass over running per-dimension sums, in blocks of at
+most ``SCAN_BLOCK_BYTES``, so its cost per node is O(k * q * m) for q samples
+and m output dimensions with no per-feature Python step: shrinking m shrinks
+training time proportionally.  Equal gains go to the lowest feature index,
+then the lowest threshold.
 """
 
 from dataclasses import dataclass
@@ -20,6 +23,9 @@ SPLITTERS = ("exhaustive", "random_threshold")
 
 # A node whose projected variance falls at or below this is treated as pure.
 PURE_NODE_TOL = 1e-12
+
+# The exhaustive scan holds at most this many bytes of prefix sums at once.
+SCAN_BLOCK_BYTES = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -87,46 +93,59 @@ def variance_sum_pairwise(Y_rows):
 
 
 def _scan_exhaustive(X, Zs, M, M2, samples, features):
-    """Best midpoint split over the given features; None when no gain > 0.
+    """Best midpoint split over the given (sorted) features; None when no
+    gain > 0.
 
-    For each feature the samples are sorted once and every boundary between
-    distinct consecutive values is scored from prefix sums of Z, so the work
-    per feature is O(q log q + q m).  Ties are broken toward the lowest
-    feature index, then the lowest threshold.
+    All k features are scored together: one stable sort of the (k, q) value
+    block, then, block by block, the prefix sums of Z in each feature's
+    order as a (kb, q, m) array, from which every boundary between distinct
+    consecutive values is scored.  The work is O(k q log q + k q m) per node
+    with no per-feature Python step.  A block holds at most
+    ``SCAN_BLOCK_BYTES`` of prefix sums (always at least one feature), which
+    bounds the scan's memory at large q * m.
+
+    Each feature's prefix sums are a contiguous (q, m) array multiplied with
+    all q rows, as a one-feature scan would do, because BLAS results depend
+    on the row count and stride: the gains, and so the trees, do not depend
+    on k or on the block size.  Ties are broken toward the lowest feature
+    index, then the lowest threshold.
     """
     q = samples.size
+    m = Zs.shape[1]
+    V = X[:, features][samples].T
+    order = np.argsort(V, axis=1, kind="stable")
+    Vs = V[np.arange(features.size)[:, None], order]
+    is_cut = Vs[:, 1:] > Vs[:, :-1]
+    nl = np.arange(1, q, dtype=np.float64)
+    block = max(1, SCAN_BLOCK_BYTES // (8 * q * m))
     best_gain = 0.0
     best = None
-    for f in features:
-        v = X[:, f][samples]
-        order = np.argsort(v, kind="stable")
-        vs = v[order]
-        if vs[0] == vs[-1]:
-            continue
-        cut = np.nonzero(vs[1:] > vs[:-1])[0]
-        C = np.cumsum(Zs[order], axis=0)
-        c2 = np.einsum("ij,ij->i", C, C)
-        cm = C @ M
-        c2c = c2[cut]
-        nl = (cut + 1).astype(np.float64)
-        score = c2c / nl + (M2 - 2.0 * cm[cut] + c2c) / (q - nl)
-        j = int(np.argmax(score))
-        gain = (float(score[j]) - M2 / q) / q
-        if gain > best_gain:
-            i = int(cut[j])
-            thr = 0.5 * (vs[i] + vs[i + 1])
-            if not (vs[i] < thr < vs[i + 1]):
-                # adjacent floats leave no strictly-between midpoint
-                thr = float(vs[i])
-            best_gain = gain
-            best = (int(f), float(thr), order, i)
+    for start in range(0, features.size, block):
+        rows = order[start : start + block]
+        C = Zs[rows]
+        np.cumsum(C, axis=1, out=C)
+        c2 = np.einsum("fij,fij->fi", C, C)[:, :-1]
+        cm = (C @ M)[:, :-1]
+        score = c2 / nl + (M2 - 2.0 * cm + c2) / (q - nl)
+        score = np.where(is_cut[start : start + block], score, -np.inf)
+        cut = np.argmax(score, axis=1)
+        gains = (score.max(axis=1) - M2 / q) / q
+        j = int(np.argmax(gains))
+        if gains[j] > best_gain:
+            best_gain = float(gains[j])
+            best = (start + j, int(cut[j]))
     if best is None:
         return None
-    f, thr, order, i = best
+    f, i = best
+    lo, hi = Vs[f, i], Vs[f, i + 1]
+    thr = 0.5 * (lo + hi)
+    if not (lo < thr < hi):
+        # adjacent floats leave no strictly-between midpoint
+        thr = lo
     return (
-        SplitRecord(f, thr, best_gain),
-        samples[order[: i + 1]],
-        samples[order[i + 1 :]],
+        SplitRecord(int(features[f]), float(thr), best_gain),
+        samples[order[f, : i + 1]],
+        samples[order[f, i + 1 :]],
     )
 
 
@@ -259,7 +278,8 @@ class Tree:
         return self.leaf_values[self.apply(X)]
 
     def predict_one(self, x):
-        """Leaf vector for a single input row."""
+        """Leaf vector for a single input row.  A row with a non-finite value
+        is rejected."""
         x = np.asarray(x, dtype=np.float64).ravel()
         if x.size != self.n_features:
             raise ValueError(
@@ -267,6 +287,8 @@ class Tree:
                     x.size, self.n_features
                 )
             )
+        if not np.isfinite(x).all():
+            raise ValueError("input contains non-finite values")
         node = 0
         while self.feature[node] >= 0:
             if x[self.feature[node]] <= self.threshold[node]:

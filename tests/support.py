@@ -20,22 +20,26 @@ def pattern_label_matrix(n, d, n_patterns, labels_per_row, rng):
     return sp.csr_matrix(rows)
 
 
-def brute_force_best_split(X, Y, samples, features):
+def brute_force_splits(X, Y, samples, features):
     """Enumerate every feature and midpoint; score via impurity recomputation.
 
     Independent of the incremental scan: each candidate's gain comes from
-    three full variance computations.  Returns (gain, feature, threshold),
-    ties broken toward the lowest feature then threshold, or None.
+    three full variance computations.  Returns a list of (gain, feature,
+    threshold) in feature order, then threshold order.  The threshold is the
+    midpoint of two consecutive distinct values, or the lower value when the
+    two are adjacent floats and no midpoint lies strictly between them.
     """
     samples = np.asarray(samples)
     q = samples.size
     parent = variance_sum(Y[samples])
-    best = None
+    splits = []
     for f in features:
         v = X[samples, f]
         vs = np.unique(v)
         for a, b in zip(vs[:-1], vs[1:]):
             thr = (a + b) / 2.0
+            if not (a < thr < b):
+                thr = a
             left = samples[v <= thr]
             right = samples[v > thr]
             gain = (
@@ -43,8 +47,18 @@ def brute_force_best_split(X, Y, samples, features):
                 - left.size / q * variance_sum(Y[left])
                 - right.size / q * variance_sum(Y[right])
             )
-            if best is None or gain > best[0]:
-                best = (gain, int(f), float(thr))
+            splits.append((gain, int(f), float(thr)))
+    return splits
+
+
+def brute_force_best_split(X, Y, samples, features):
+    """Best of :func:`brute_force_splits` as (gain, feature, threshold), ties
+    broken toward the lowest feature then threshold, or None when no split
+    has a positive gain."""
+    best = None
+    for split in brute_force_splits(X, Y, samples, features):
+        if best is None or split[0] > best[0]:
+            best = split
     if best is None or best[0] <= 0:
         return None
     return best

@@ -143,6 +143,8 @@ class TestPredict:
                     ens.predict(rows)
                 with pytest.raises(ValueError, match="non-finite"):
                     ens.trees[0].apply(rows)
+            with pytest.raises(ValueError, match="non-finite"):
+                ens.trees[0].predict_one(X[1])
 
 
 @lru_cache(maxsize=None)

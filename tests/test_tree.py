@@ -3,6 +3,8 @@ import json
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from projforest import (
     DataSet,
@@ -22,9 +24,15 @@ from projforest import (
     variance_sum,
     variance_sum_pairwise,
 )
+from projforest import tree as tree_module
 from projforest.tree import Tree
 
-from support import brute_force_best_split, node_memberships, pattern_label_matrix
+from support import (
+    brute_force_best_split,
+    brute_force_splits,
+    node_memberships,
+    pattern_label_matrix,
+)
 
 TOY_X = np.array([[0.0], [1.0], [10.0], [11.0]])
 TOY_Z = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
@@ -116,6 +124,99 @@ class TestExhaustiveSplit:
         X = np.column_stack([TOY_X.ravel(), TOY_X.ravel()])
         rec = best_split_exhaustive(X, TOY_Z, np.arange(4), [0, 1])
         assert rec.feature == 0
+
+    def test_block_size_does_not_change_the_split(self, monkeypatch):
+        # Column 1 is the informative one and column 2 its copy, so with two
+        # features a block the tie between them spans a block boundary.
+        gen = np.random.default_rng(13)
+        q, m = 30, 16
+        X = gen.random((q, 5))
+        X[:, 1] = np.repeat([0.0, 1.0, 2.0], 10)
+        X[:, 2] = X[:, 1]
+        Z = gen.random((q, m)) + X[:, [1]]
+        per_feature = 8 * q * m
+        records = []
+        for block_bytes in (0, 2 * per_feature, 1 << 40):
+            monkeypatch.setattr(tree_module, "SCAN_BLOCK_BYTES", block_bytes)
+            records.append(best_split_exhaustive(X, Z, np.arange(q), range(5)))
+        assert records[0].feature == 1
+        assert records[1] == records[0] and records[2] == records[0]
+
+    def test_block_size_does_not_change_the_tree(self, monkeypatch):
+        gen = np.random.default_rng(14)
+        X = np.floor(gen.random((60, 6)) * 4.0)
+        X[:, 3] = X[:, 2]
+        Y = gen.random((60, 20))
+        cfg = TreeConfig(k=5, n_min=2, bootstrap=True)
+        trees = []
+        for block_bytes in (0, 1 << 14, 1 << 40):
+            monkeypatch.setattr(tree_module, "SCAN_BLOCK_BYTES", block_bytes)
+            trees.append(grow_arrays(X, Y, None, cfg, RngStream(4, 0)))
+        assert trees[0].n_nodes > 10
+        assert trees_equal(trees[1], trees[0]) and trees_equal(trees[2], trees[0])
+
+
+@st.composite
+def split_problems(draw):
+    """A node of up to 30 samples: heavily tied integer features, runs of
+    adjacent floats (where no midpoint lies strictly between two values) or
+    continuous ones, with some columns duplicated; binary or continuous
+    outputs up to 20 wide."""
+    n = draw(st.integers(2, 30))
+    p = draw(st.integers(1, 10))
+    kind = draw(st.sampled_from(["ties", "adjacent", "continuous"]))
+    if kind == "ties":
+        value = st.integers(0, 3).map(float)
+    elif kind == "adjacent":
+        run = [draw(st.floats(-1e3, 1e3))]
+        for _ in range(4):
+            run.append(float(np.nextafter(run[-1], np.inf)))
+        value = st.sampled_from(run)
+    else:
+        value = st.floats(-10.0, 10.0)
+    X = draw(arrays(np.float64, (n, p), elements=value, fill=st.nothing()))
+    for j in range(1, p):
+        if draw(st.booleans()):
+            X[:, j] = X[:, draw(st.integers(0, j - 1))]
+    m = draw(st.integers(1, 20))
+    zgen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        Z = zgen.integers(0, 2, size=(n, m)).astype(np.float64)
+    else:
+        Z = zgen.uniform(-3.0, 3.0, size=(n, m))
+    if draw(st.booleans()):
+        samples = np.arange(n)
+    else:
+        samples = np.array(draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=n)))
+    features = draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=8, unique=True))
+    return X, Z, samples, sorted(features)
+
+
+@settings(max_examples=150, deadline=None)
+@given(split_problems())
+def test_exhaustive_split_matches_brute_force(problem):
+    X, Z, samples, features = problem
+    rec = best_split_exhaustive(X, Z, samples, features)
+    splits = brute_force_splits(X, Z, samples, features)
+    best = max(splits, key=lambda split: split[0], default=(0.0,))
+    # The scan and the oracle sum in different orders, so gains agree to a
+    # tolerance, and splits whose gains tie within it may be chosen either way.
+    tol = 1e-9 * max(1.0, variance_sum(Z[samples]))
+    top = best[0]
+    if rec is None:
+        assert top <= tol
+        return
+    assert rec.impurity_reduction > 0.0
+    assert abs(rec.impurity_reduction - top) <= tol
+    near = [(f, thr) for gain, f, thr in splits if gain >= top - tol]
+    assert (rec.feature, rec.threshold) in near
+    # Duplicated columns tie exactly, and the lowest feature wins.
+    twins = [f for f in features if np.array_equal(X[samples, f], X[samples, rec.feature])]
+    assert rec.feature == twins[0]
+    # When the best split is unique up to duplicated columns, the scan
+    # returns exactly the oracle's choice.
+    if len({(X[samples, f].tobytes(), thr) for f, thr in near}) == 1:
+        assert (rec.feature, rec.threshold) == best[1:]
 
 
 class TestRandomThresholdSplit:
