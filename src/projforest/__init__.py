@@ -28,10 +28,9 @@ from .tree import (
     grow_arrays,
     trees_equal,
     variance_sum,
-    variance_sum_pairwise,
 )
 from .ensemble import Ensemble, EnsembleConfig, FitTiming, fit, fit_timed
-from .metrics import lrap, lrap_oracle
+from .metrics import lrap
 from .datasets import (
     SplitPlan,
     dump_svmlight_multilabel,
@@ -97,7 +96,6 @@ __all__ = [
     "jl_min_dimension",
     "load_svmlight_multilabel",
     "lrap",
-    "lrap_oracle",
     "make_splits",
     "make_synthetic_multilabel",
     "pca_projection",
@@ -110,7 +108,6 @@ __all__ = [
     "trees_equal",
     "two_feature_problem",
     "variance_sum",
-    "variance_sum_pairwise",
     "write_grid_csv",
     "write_summary_csv",
 ]

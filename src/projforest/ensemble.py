@@ -75,11 +75,11 @@ class Ensemble:
     def predict(self, X):
         """Average of the per-tree leaf vectors, an (n, d) array in [0, 1]
         for binary labels (entries are averaged label frequencies).  X is
-        densified once for all trees; each tree checks its width and values."""
-        X = to_dense(X)
-        acc = self.trees[0].predict(X).copy()
+        densified and checked (width, finite values) once for all trees."""
+        X = self.trees[0].check_rows(X)
+        acc = self.trees[0].predict(X, checked=True).copy()
         for tree in self.trees[1:]:
-            acc += tree.predict(X)
+            acc += tree.predict(X, checked=True)
         return acc / self.t
 
     def save(self, path):

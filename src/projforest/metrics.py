@@ -10,12 +10,16 @@ Samples without any relevant label are discarded before averaging.
 import numpy as np
 import scipy.sparse as sp
 
-from .data import to_dense
-
 
 def _relevant_mask_rows(Y, n, d):
+    """Per row, which labels are relevant: the nonzero entries, whether Y is
+    dense or sparse (explicitly stored zeros are not relevant)."""
     if sp.issparse(Y):
         Yc = Y.tocsr()
+        if not Yc.has_canonical_format or not Yc.data.all():
+            Yc = Yc.copy()
+            Yc.sum_duplicates()
+            Yc.eliminate_zeros()
         for i in range(n):
             mask = np.zeros(d, dtype=bool)
             mask[Yc.indices[Yc.indptr[i] : Yc.indptr[i + 1]]] = True
@@ -30,7 +34,7 @@ def lrap(scores, Y, return_retained=False):
     """Label ranking average precision of a score matrix against binary labels.
 
     Sorts each row once (O(d log d)) and resolves score ties by grouping, so
-    it matches the literal enumeration of :func:`lrap_oracle` exactly.
+    it matches a literal enumeration of the definition exactly.
     Raises when every sample is empty (the metric is undefined).  With
     ``return_retained`` also reports how many samples entered the average.
     """
@@ -68,34 +72,3 @@ def lrap(scores, Y, return_retained=False):
     if return_retained:
         return value, retained
     return value
-
-
-def lrap_oracle(scores, Y):
-    """Literal double-loop evaluation of the same definition, O(n * d^2).
-
-    Kept as an independent cross-check for the grouped implementation.
-    """
-    scores = np.asarray(scores, dtype=np.float64)
-    n, d = scores.shape
-    if Y.shape != (n, d):
-        raise ValueError(
-            "scores have shape {}, labels have {}".format(scores.shape, Y.shape)
-        )
-    Yd = to_dense(Y)
-    total = 0.0
-    retained = 0
-    for i in range(n):
-        rel = np.nonzero(Yd[i] != 0)[0]
-        if rel.size == 0:
-            continue
-        retained += 1
-        acc = 0.0
-        for j in rel:
-            at_or_above = scores[i] >= scores[i, j]
-            numerator = int(np.count_nonzero(at_or_above & (Yd[i] != 0)))
-            denominator = int(np.count_nonzero(at_or_above))
-            acc += numerator / denominator
-        total += acc / rel.size
-    if retained == 0:
-        raise ValueError("every sample has an empty label set; LRAP is undefined")
-    return total / retained

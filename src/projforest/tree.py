@@ -65,8 +65,7 @@ def variance_sum(Y_rows):
     """Sum over output dimensions of the per-dimension (population) variance.
 
     Computed in centered form: mean over rows of the squared distance to the
-    row mean.  Equals the mean pairwise squared distance divided by two (see
-    :func:`variance_sum_pairwise`).
+    row mean.  Equals the mean pairwise squared distance divided by two.
     """
     Y = to_dense(Y_rows)
     if Y.ndim == 1:
@@ -76,20 +75,6 @@ def variance_sum(Y_rows):
         raise ValueError("variance of an empty sample is undefined")
     centered = Y - Y.mean(axis=0)
     return float(np.einsum("ij,ij->", centered, centered) / q)
-
-
-def variance_sum_pairwise(Y_rows):
-    """Same quantity as :func:`variance_sum` via literal pairwise enumeration:
-    (1 / 2 q^2) * sum_ij |y_i - y_j|^2.  Quadratic; used as a cross-check.
-    """
-    Y = to_dense(Y_rows)
-    if Y.ndim == 1:
-        Y = Y[None, :]
-    q = Y.shape[0]
-    if q == 0:
-        raise ValueError("variance of an empty sample is undefined")
-    diffs = Y[:, None, :] - Y[None, :, :]
-    return float(np.einsum("ijk,ijk->", diffs, diffs) / (2.0 * q * q))
 
 
 def _scan_exhaustive(X, Zs, M, M2, samples, features):
@@ -248,18 +233,28 @@ class Tree:
     def n_outputs(self):
         return self.leaf_values.shape[1]
 
-    def apply(self, X):
-        """Leaf index reached by every row of X (dense or sparse).  Rows with a
-        non-finite value are rejected."""
-        if X.shape[1] != self.n_features:
+    def check_rows(self, X):
+        """X (dense or sparse) as a dense float64 array, after checking that
+        it is a matrix of this tree's width with only finite values."""
+        X = to_dense(X)
+        if X.ndim != 2 or X.shape[1] != self.n_features:
             raise ValueError(
-                "X has {} features, tree expects {}".format(
-                    X.shape[1], self.n_features
+                "X has shape {}, tree expects (n, {})".format(
+                    X.shape, self.n_features
                 )
             )
-        X = to_dense(X)
         if not np.isfinite(X).all():
             raise ValueError("X contains non-finite values")
+        return X
+
+    def apply(self, X):
+        """Leaf index reached by every row of X (dense or sparse).  Rows of
+        the wrong width or with a non-finite value are rejected."""
+        return self._route(self.check_rows(X))
+
+    def _route(self, X):
+        """Leaf index reached by every row of a dense X that
+        :meth:`check_rows` has accepted."""
         node = np.zeros(X.shape[0], dtype=np.int64)
         while True:
             f = self.feature[node]
@@ -273,9 +268,13 @@ class Tree:
                 go_left, self.children_left[nd], self.children_right[nd]
             )
 
-    def predict(self, X):
-        """Leaf vector (length d) for every row of X, as an (n, d) array."""
-        return self.leaf_values[self.apply(X)]
+    def predict(self, X, *, checked=False):
+        """Leaf vector (length d) for every row of X, as an (n, d) array.
+
+        With ``checked`` the caller passes an X that :meth:`check_rows`
+        returned, so a forest checks its input once for all trees.
+        """
+        return self.leaf_values[self._route(X) if checked else self.apply(X)]
 
     def predict_one(self, x):
         """Leaf vector for a single input row.  A row with a non-finite value
@@ -375,6 +374,32 @@ def trees_equal(a, b):
     )
 
 
+def _leaf_sums(Y, leaf_of_row, multiplicity, n_leaves):
+    """Per-leaf sums of the original output rows, an (n_leaves, d) array.
+
+    Every copy of an original row reaches the same leaf, so each row present
+    in the sample adds ``multiplicity * y_row`` to its leaf's sum once, rows
+    in ascending order.  These are the products, added in the same order, of
+    the sparse aggregation product (leaf x row multiplicities) @ Y, so the
+    sums agree with it to the last bit; adding a duplicated row once per copy,
+    or a ``reduceat`` over each leaf's rows, rounds differently.  CSR ``Y`` is
+    added by its stored entries and never made dense.
+    """
+    sums = np.zeros((n_leaves, Y.shape[1]))
+    if sp.issparse(Y):
+        Y = Y.tocsr()
+        entry_row = np.repeat(np.arange(Y.shape[0]), np.diff(Y.indptr))
+        keep = multiplicity[entry_row] > 0
+        entry_row = entry_row[keep]
+        values = multiplicity[entry_row] * np.asarray(Y.data[keep], dtype=np.float64)
+        np.add.at(sums, (leaf_of_row[entry_row], Y.indices[keep]), values)
+    else:
+        present = np.flatnonzero(multiplicity)
+        Y = np.asarray(Y, dtype=np.float64)
+        np.add.at(sums, leaf_of_row[present], multiplicity[present, None] * Y[present])
+    return sums
+
+
 def grow(ds, phi, cfg, rng):
     """Grow one tree on a dataset view.
 
@@ -423,25 +448,21 @@ def grow_arrays(X, Y, phi, cfg, rng, Z=None):
     min_split = max(2, cfg.n_min)
     random_splitter = cfg.splitter == "random_threshold"
 
-    feature = []
-    threshold = []
-    children_left = []
-    children_right = []
-    gains = []
-    leaf_of = []
-    leaf_members = []
+    # Every leaf holds at least one sample, so a tree has at most n_t leaves
+    # and 2 * n_t - 1 nodes; the arrays are trimmed to the grown size below.
+    size = 2 * n_t - 1
+    feature = np.full(size, -1, dtype=np.int64)
+    threshold = np.zeros(size)
+    children_left = np.full(size, -1, dtype=np.int64)
+    children_right = np.full(size, -1, dtype=np.int64)
+    gains = np.zeros(size)
+    leaf_of = np.full(size, -1, dtype=np.int64)
+    counts = np.empty(n_t, dtype=np.int64)
+    leaf_of_row = np.empty(n, dtype=np.int64)
+    n_nodes = 1
+    n_leaves = 0
 
-    def new_node():
-        feature.append(-1)
-        threshold.append(0.0)
-        children_left.append(-1)
-        children_right.append(-1)
-        gains.append(0.0)
-        leaf_of.append(-1)
-        return len(feature) - 1
-
-    root_samples = np.arange(n_t, dtype=np.int64)
-    stack = [(root_samples, new_node())]
+    stack = [(np.arange(n_t, dtype=np.int64), 0)]
     while stack:
         samples, node = stack.pop()
         q = samples.size
@@ -461,40 +482,31 @@ def grow_arrays(X, Y, phi, cfg, rng, Z=None):
                 else:
                     found = _scan_exhaustive(Xt, Zs, M, M2, samples, chosen)
         if found is None:
-            leaf_of[node] = len(leaf_members)
-            leaf_members.append(samples)
+            leaf_of[node] = n_leaves
+            counts[n_leaves] = q
+            leaf_of_row[rows[samples]] = n_leaves
+            n_leaves += 1
             continue
         rec, left_samples, right_samples = found
         feature[node] = rec.feature
         threshold[node] = rec.threshold
         gains[node] = rec.impurity_reduction
-        left_id = new_node()
-        right_id = new_node()
-        children_left[node] = left_id
-        children_right[node] = right_id
-        stack.append((right_samples, right_id))
-        stack.append((left_samples, left_id))
+        children_left[node] = n_nodes
+        children_right[node] = n_nodes + 1
+        stack.append((right_samples, n_nodes + 1))
+        stack.append((left_samples, n_nodes))
+        n_nodes += 2
 
-    # Leaf labeling happens in the original output space: one aggregation
-    # matmul computes every leaf's component-wise mean over its members.
-    n_leaves = len(leaf_members)
-    counts = np.array([m.size for m in leaf_members], dtype=np.int64)
-    member_leaf = np.empty(n_t, dtype=np.int64)
-    for leaf, members in enumerate(leaf_members):
-        member_leaf[members] = leaf
-    agg = sp.csr_matrix(
-        (np.ones(n_t), (member_leaf, rows)), shape=(n_leaves, n), dtype=np.float64
-    )
-    leaf_values = to_dense(agg @ Y) / counts[:, None]
-
+    counts = counts[:n_leaves].copy()
     return Tree(
-        feature=np.asarray(feature, dtype=np.int64),
-        threshold=np.asarray(threshold, dtype=np.float64),
-        children_left=np.asarray(children_left, dtype=np.int64),
-        children_right=np.asarray(children_right, dtype=np.int64),
-        impurity_reduction=np.asarray(gains, dtype=np.float64),
-        leaf_id=np.asarray(leaf_of, dtype=np.int64),
-        leaf_values=leaf_values,
+        feature=feature[:n_nodes].copy(),
+        threshold=threshold[:n_nodes].copy(),
+        children_left=children_left[:n_nodes].copy(),
+        children_right=children_right[:n_nodes].copy(),
+        impurity_reduction=gains[:n_nodes].copy(),
+        leaf_id=leaf_of[:n_nodes].copy(),
+        leaf_values=_leaf_sums(Y, leaf_of_row, np.bincount(rows, minlength=n),
+                               n_leaves) / counts[:, None],
         leaf_counts=counts,
         n_features=p,
     )

@@ -3,6 +3,7 @@
 import numpy as np
 import scipy.sparse as sp
 
+from projforest import to_dense
 from projforest.tree import variance_sum
 
 
@@ -64,6 +65,19 @@ def brute_force_best_split(X, Y, samples, features):
     return best
 
 
+def aggregation_leaf_values(tree, X, Y, rows):
+    """Leaf values and counts of a tree grown on the training rows ``rows``
+    of (X, Y), bootstrap copies included, by a sparse aggregation product:
+    a (leaves x n) matrix holding how often each leaf received each original
+    row, times Y, divided by the leaf counts."""
+    leaf = tree.apply(X)[rows]
+    agg = sp.csr_matrix(
+        (np.ones(rows.size), (leaf, rows)), shape=(tree.n_leaves, X.shape[0])
+    )
+    counts = np.bincount(leaf, minlength=tree.n_leaves)
+    return to_dense(agg @ Y) / counts[:, None], counts
+
+
 def node_memberships(tree, X):
     """Map node id -> sorted row indices routed through it."""
     members = {i: [] for i in range(tree.n_nodes)}
@@ -78,3 +92,49 @@ def node_memberships(tree, X):
                 node = tree.children_right[node]
             members[node].append(row)
     return {k: np.asarray(v) for k, v in members.items()}
+
+
+def variance_sum_pairwise(Y_rows):
+    """Same quantity as :func:`projforest.tree.variance_sum` via literal
+    pairwise enumeration: (1 / 2 q^2) * sum_ij |y_i - y_j|^2.  Quadratic;
+    used as a cross-check.
+    """
+    Y = to_dense(Y_rows)
+    if Y.ndim == 1:
+        Y = Y[None, :]
+    q = Y.shape[0]
+    if q == 0:
+        raise ValueError("variance of an empty sample is undefined")
+    diffs = Y[:, None, :] - Y[None, :, :]
+    return float(np.einsum("ijk,ijk->", diffs, diffs) / (2.0 * q * q))
+
+
+def lrap_oracle(scores, Y):
+    """Literal double-loop evaluation of the same definition, O(n * d^2).
+
+    An independent cross-check for the grouped :func:`projforest.lrap`.
+    """
+    scores = np.asarray(scores, dtype=np.float64)
+    n, d = scores.shape
+    if Y.shape != (n, d):
+        raise ValueError(
+            "scores have shape {}, labels have {}".format(scores.shape, Y.shape)
+        )
+    Yd = to_dense(Y)
+    total = 0.0
+    retained = 0
+    for i in range(n):
+        rel = np.nonzero(Yd[i] != 0)[0]
+        if rel.size == 0:
+            continue
+        retained += 1
+        acc = 0.0
+        for j in rel:
+            at_or_above = scores[i] >= scores[i, j]
+            numerator = int(np.count_nonzero(at_or_above & (Yd[i] != 0)))
+            denominator = int(np.count_nonzero(at_or_above))
+            acc += numerator / denominator
+        total += acc / rel.size
+    if retained == 0:
+        raise ValueError("every sample has an empty label set; LRAP is undefined")
+    return total / retained

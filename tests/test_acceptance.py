@@ -29,7 +29,6 @@ from projforest import (
     jl_min_dimension,
     load_svmlight_multilabel,
     lrap,
-    lrap_oracle,
     make_splits,
     make_synthetic_multilabel,
     project,
@@ -37,13 +36,12 @@ from projforest import (
     trees_equal,
     two_feature_problem,
     variance_sum,
-    variance_sum_pairwise,
     write_grid_csv,
 )
 from projforest.bench import CSV_COLUMNS, TIMING_COLUMNS
 from projforest.tree import grow
 
-from support import pattern_label_matrix
+from support import lrap_oracle, pattern_label_matrix, variance_sum_pairwise
 
 
 def _verdict(number, name, ok, detail=""):

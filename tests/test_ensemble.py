@@ -13,6 +13,7 @@ from projforest import (
     Ensemble,
     ProjectionSpec,
     RngStream,
+    Tree,
     TreeConfig,
     fit,
     fit_timed,
@@ -105,6 +106,28 @@ class TestPredict:
         expected = acc / 3
         assert np.abs(ens.predict(X) - expected).max() <= 1e-15
 
+    def test_rows_checked_once_for_all_trees(self, monkeypatch):
+        ds = small_data(seed=5)
+        ens = fit(ds, config("per_tree_subspace", t=3))
+        X = ds.X_rows()
+        expected = ens.predict(X)
+        calls = []
+        check_rows = Tree.check_rows
+
+        def counting(self, rows):
+            calls.append(rows.shape)
+            return check_rows(self, rows)
+
+        monkeypatch.setattr(Tree, "check_rows", counting)
+        for rows in (X, sp.csr_matrix(X)):
+            calls.clear()
+            np.testing.assert_array_equal(ens.predict(rows), expected)
+            assert calls == [X.shape]
+            np.testing.assert_array_equal(
+                ens.trees[1].predict(to_dense(rows), checked=True),
+                ens.trees[1].predict(rows),
+            )
+
     def test_single_leaf_trees_average_global_means(self):
         ds = small_data(seed=6)
         cfg = config("per_tree_subspace", t=3)
@@ -129,8 +152,10 @@ class TestPredict:
     def test_shape_mismatch(self):
         ds = small_data(seed=8)
         ens = fit(ds, config("no_projection"))
-        with pytest.raises(ValueError):
-            ens.predict(np.zeros((3, 7)))
+        for rows in (np.zeros((3, 7)), sp.csr_matrix((3, 7)), np.zeros(ens.n_features),
+                     np.zeros((3, ens.n_features, 1))):
+            with pytest.raises(ValueError, match="tree expects"):
+                ens.predict(rows)
 
     def test_non_finite_rows_rejected(self):
         ds = small_data(seed=8)

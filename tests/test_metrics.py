@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from projforest import lrap, lrap_oracle
+from projforest import lrap
+
+from support import lrap_oracle
 
 
 def labels(rows):
@@ -97,6 +99,18 @@ class TestProperties:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             lrap(np.zeros((2, 3)), labels([[1, 0], [0, 1]]))
+
+    def test_stored_zeros_are_not_relevant(self):
+        scores = np.array([[0.9, 0.5, 0.1], [0.2, 0.8, 0.4]])
+        dense = np.array([[0.0, 1.0, 0.0], [0.0, 1.0, 0.0]])
+        stored = sp.csr_matrix(
+            (np.array([0.0, 1.0, 1.0]), np.array([0, 1, 1]), np.array([0, 2, 3])),
+            shape=(2, 3),
+        )
+        assert stored.nnz == 3
+        assert lrap(scores, dense) == 0.75
+        assert lrap(scores, stored) == 0.75
+        assert lrap_oracle(scores, stored) == 0.75
 
     def test_dense_labels_accepted(self):
         scores = np.array([[0.8, 0.9, 0.7]])

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -22,16 +23,17 @@ from projforest import (
     to_dense,
     trees_equal,
     variance_sum,
-    variance_sum_pairwise,
 )
 from projforest import tree as tree_module
 from projforest.tree import Tree
 
 from support import (
+    aggregation_leaf_values,
     brute_force_best_split,
     brute_force_splits,
     node_memberships,
     pattern_label_matrix,
+    variance_sum_pairwise,
 )
 
 TOY_X = np.array([[0.0], [1.0], [10.0], [11.0]])
@@ -356,6 +358,33 @@ class TestGrow:
                 a = grow(DataSet(X, Y), None, cfg, RngStream(5, 0))
                 b = grow(DataSet(sp.csr_matrix(X), Y), None, cfg, RngStream(5, 0))
                 assert trees_equal(a, b)
+
+    @pytest.mark.parametrize("splitter", ["exhaustive", "random_threshold"])
+    def test_leaf_values_equal_the_aggregation_product(self, splitter):
+        # Few rows, so a bootstrap draw repeats many of them; outputs of
+        # mixed magnitude, and leaves of many rows (large n_min), make leaf
+        # sums depend on the order and the form of each addition.
+        gen = np.random.default_rng(13)
+        for (n, seed), n_min in itertools.product(
+            ((6, 0), (12, 1), (40, 2), (40, 3)), (2, 10, 100)
+        ):
+            X = gen.random((n, 3))
+            binary = (gen.random((n, 5)) < 0.4).astype(float)
+            continuous = gen.standard_normal((n, 5)) * 10.0 ** gen.integers(-3, 4, (n, 5))
+            continuous[gen.random((n, 5)) < 0.3] = 0.0
+            for Y in (binary, continuous, sp.csr_matrix(binary), sp.csr_matrix(continuous)):
+                for bootstrap in (True, False):
+                    cfg = TreeConfig(
+                        k=2, n_min=n_min, splitter=splitter, bootstrap=bootstrap
+                    )
+                    tree = grow_arrays(X, Y, None, cfg, RngStream(seed, 0))
+                    if bootstrap:
+                        rows = RngStream(seed, 0).generator.integers(0, n, size=n)
+                    else:
+                        rows = np.arange(n)
+                    values, counts = aggregation_leaf_values(tree, X, Y, rows)
+                    assert tree.leaf_values.tobytes() == values.tobytes()
+                    np.testing.assert_array_equal(tree.leaf_counts, counts)
 
     def test_continuous_outputs_supported(self):
         gen = np.random.default_rng(10)

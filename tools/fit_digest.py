@@ -14,7 +14,15 @@ under both projecting policies) with both splitters, bootstrap on and off,
 and dense and CSR training features.  The wide grid (40 labels) fits the
 exhaustive splitter at a split width of 16 and 40, where BLAS takes a
 different kernel than at m=3 and results can change in the last bits when
-the row count or stride of a product changes.  It takes a few seconds.
+the row count or stride of a product changes.
+
+The real-valued grid fits on continuous outputs (negative values and zeros
+included), given dense and as CSR, with both splitters and bootstrap on and
+off.  Binary labels make every leaf sum an exact integer in any order, so
+only this grid shows a change in the order in which leaf sums are added.
+The decomposition lines digest ``estimate_ensemble`` estimates for a shared
+and a per-tree subspace config, as the Monte Carlo harness runs them.  The
+script takes a few seconds.
 """
 
 import hashlib
@@ -29,9 +37,13 @@ from projforest import (
     EnsembleConfig,
     ProjectionSpec,
     TreeConfig,
+    estimate_ensemble,
     fit,
     make_synthetic_multilabel,
+    two_feature_problem,
 )
+from projforest.decomposition import TERMS
+from projforest.ensemble import _fit_arrays
 
 POLICIES = (
     ("shared_subspace", "gaussian"),
@@ -68,19 +80,23 @@ def digest(ensemble, query):
     return h.hexdigest()
 
 
+def grid_config(policy, kind, m, k, splitter, bootstrap):
+    return EnsembleConfig(
+        t=5,
+        tree=TreeConfig(k=k, n_min=2, splitter=splitter, bootstrap=bootstrap),
+        projection=None if kind is None else ProjectionSpec(kind, m),
+        policy=policy,
+        master_seed=17,
+    )
+
+
 def run_grid(name, X, Y, m, k, policies, splitters):
     train_X, train_Y = X[:200], Y[:200]
     query = X[200:]
     for (policy, kind), splitter, bootstrap, storage in itertools.product(
         policies, splitters, (False, True), ("dense", "csr")
     ):
-        cfg = EnsembleConfig(
-            t=5,
-            tree=TreeConfig(k=k, n_min=2, splitter=splitter, bootstrap=bootstrap),
-            projection=None if kind is None else ProjectionSpec(kind, m),
-            policy=policy,
-            master_seed=17,
-        )
+        cfg = grid_config(policy, kind, m, k, splitter, bootstrap)
         Xs = sp.csr_matrix(train_X) if storage == "csr" else train_X
         ensemble = fit(DataSet(Xs, train_Y), cfg)
         print(name, policy, kind, splitter,
@@ -88,11 +104,57 @@ def run_grid(name, X, Y, m, k, policies, splitters):
               digest(ensemble, query))
 
 
+def run_real_grid(X, Y, m, k):
+    """Continuous outputs, with the training outputs given dense and as CSR
+    (``DataSet`` holds binary labels only, so this fits on raw matrices)."""
+    train_X, train_Y = X[:200], Y[:200]
+    query = X[200:]
+    for (policy, kind), splitter, bootstrap, storage in itertools.product(
+        WIDE_POLICIES, ("exhaustive", "random_threshold"), (False, True),
+        ("dense", "csr")
+    ):
+        cfg = grid_config(policy, kind, m, k, splitter, bootstrap)
+        Ys = sp.csr_matrix(train_Y) if storage == "csr" else train_Y
+        ensemble, _ = _fit_arrays(train_X, Ys, cfg, cfg.master_seed, cfg.master_seed)
+        print("real", policy, kind, splitter,
+              "bootstrap" if bootstrap else "no-bootstrap", storage,
+              digest(ensemble, query))
+
+
+def real_outputs(X, d, seed):
+    """Continuous outputs of mixed sign from X, about a third of them zero."""
+    gen = np.random.default_rng(seed)
+    Y = X @ gen.standard_normal((X.shape[1], d)) + gen.standard_normal((X.shape[0], d))
+    Y[gen.random(Y.shape) < 0.33] = 0.0
+    return Y
+
+
+def run_decomposition():
+    """One digest of the estimates per ensemble policy."""
+    problem = two_feature_problem(n_train=60, noise_sd=0.1)
+    for policy in ("shared_subspace", "per_tree_subspace"):
+        cfg = EnsembleConfig(
+            t=4,
+            tree=TreeConfig(k=2, n_min=10, splitter="random_threshold"),
+            projection=ProjectionSpec("gaussian", 1),
+            policy=policy,
+        )
+        report = estimate_ensemble(problem, cfg, n_ls=3, n_phi=3, n_eps=3, seed=23)
+        h = hashlib.sha256()
+        for term in TERMS:
+            h.update(report.estimates[term].tobytes())
+            h.update(report.se[term].tobytes())
+        print("decomposition", policy, h.hexdigest())
+
+
 def main():
     X, Y = sparse_features(260, 12, 10, seed=3)
     run_grid("narrow", X, Y, 3, 4, POLICIES, ("exhaustive", "random_threshold"))
     X, Y = sparse_features(260, 12, 40, seed=5)
     run_grid("wide", X, Y, 16, 8, WIDE_POLICIES, ("exhaustive",))
+    X, _ = sparse_features(260, 12, 10, seed=7)
+    run_real_grid(X, real_outputs(X, 10, seed=7), 3, 4)
+    run_decomposition()
 
 
 if __name__ == "__main__":
