@@ -27,6 +27,10 @@ PURE_NODE_TOL = 1e-12
 # The exhaustive scan holds at most this many bytes of prefix sums at once.
 SCAN_BLOCK_BYTES = 1 << 24
 
+# Blocks whose (features x outputs) row slab holds at least this many
+# entries take their prefix sums slab by slab rather than by ``np.cumsum``.
+SLAB_RECURRENCE_MIN = 256
+
 
 @dataclass(frozen=True)
 class TreeConfig:
@@ -77,6 +81,22 @@ def variance_sum(Y_rows):
     return float(np.einsum("ij,ij->", centered, centered) / q)
 
 
+def _prefix_sums(C):
+    """Running sums along axis 1 of a (kb, q, m) block, in place.
+
+    ``np.cumsum`` along that axis adds one column of a slab at a time, which
+    is slow once the (kb, m) slab of one row position is wide; such blocks
+    add each slab to the one before it instead.  Both add the same numbers in
+    the same order, so the sums are identical either way.
+    """
+    kb, q, m = C.shape
+    if kb * m < SLAB_RECURRENCE_MIN:
+        np.cumsum(C, axis=1, out=C)
+        return
+    for i in range(1, q):
+        np.add(C[:, i - 1], C[:, i], out=C[:, i])
+
+
 def _scan_exhaustive(X, Zs, M, M2, samples, features):
     """Best midpoint split over the given (sorted) features; None when no
     gain > 0.
@@ -108,7 +128,7 @@ def _scan_exhaustive(X, Zs, M, M2, samples, features):
     for start in range(0, features.size, block):
         rows = order[start : start + block]
         C = Zs[rows]
-        np.cumsum(C, axis=1, out=C)
+        _prefix_sums(C)
         c2 = np.einsum("fij,fij->fi", C, C)[:, :-1]
         cm = (C @ M)[:, :-1]
         score = c2 / nl + (M2 - 2.0 * cm + c2) / (q - nl)
@@ -400,6 +420,14 @@ def _leaf_sums(Y, leaf_of_row, multiplicity, n_leaves):
     return sums
 
 
+def check_finite(X, Y):
+    """Reject a dense X or a dense or sparse Y holding a non-finite value."""
+    if not np.isfinite(X).all():
+        raise ValueError("X contains non-finite values")
+    if not np.isfinite(Y.tocsr().data if sp.issparse(Y) else Y).all():
+        raise ValueError("Y contains non-finite values")
+
+
 def grow(ds, phi, cfg, rng):
     """Grow one tree on a dataset view.
 
@@ -414,9 +442,9 @@ def grow_arrays(X, Y, phi, cfg, rng, Z=None):
     """Grow one tree from raw matrices.
 
     ``X`` is (n, p) dense or CSR (densified; dense float64 is not copied),
-    ``Y`` is (n, d) dense or CSR.  ``Z`` may carry a precomputed projection
-    of Y (used to time projection separately from growth); otherwise it is
-    computed here.
+    ``Y`` is (n, d) dense or CSR; a non-finite value in either is rejected.
+    ``Z`` may carry a precomputed projection of Y (used to time projection
+    separately from growth); otherwise it is computed here.
     """
     n, p = X.shape
     d = Y.shape[1]
@@ -430,12 +458,13 @@ def grow_arrays(X, Y, phi, cfg, rng, Z=None):
         raise ValueError("k={} exceeds the {} available features".format(cfg.k, p))
     if n == 0:
         raise ValueError("cannot grow a tree on an empty sample")
+    X = to_dense(X)
+    check_finite(X, Y)
 
     if Z is None:
         Z = project(phi, Y) if phi is not None else to_dense(Y)
     gen = rng.generator
 
-    X = to_dense(X)
     if cfg.bootstrap:
         rows = gen.integers(0, n, size=n)
         Xt, Zt = X[rows], Z[rows]

@@ -24,6 +24,7 @@ from projforest import (
     to_dense,
     trees_equal,
 )
+from projforest.ensemble import _fit_arrays
 
 
 def small_data(seed=0, n=60, p=4, d=8):
@@ -311,6 +312,25 @@ class TestValidation:
         with pytest.raises(ValueError):
             EnsembleConfig(t=2, tree=TreeConfig(k=1), projection=None,
                            policy="sometimes_shared")
+
+    @pytest.mark.parametrize("policy,kind", [
+        ("shared_subspace", "gaussian"), ("per_tree_subspace", "gaussian"),
+        ("per_tree_subspace", "pca"), ("no_projection", None)])
+    def test_non_finite_fit_input_rejected(self, policy, kind):
+        ds = make_synthetic_multilabel(60, 4, 8, seed=1)
+        X = np.array(ds.X)
+        Y = ds.Y.toarray()
+        projection = None if kind is None else ProjectionSpec(kind, 2)
+        cfg = EnsembleConfig(t=2, tree=TreeConfig(k=2), policy=policy,
+                             projection=projection)
+        X[3, 1] = np.nan
+        with pytest.raises(ValueError, match="X contains non-finite"):
+            _fit_arrays(X, Y, cfg, 0, 0)
+        X[3, 1] = 0.0
+        Y[5, 2] = np.inf
+        for labels in (Y, sp.csr_matrix(Y)):
+            with pytest.raises(ValueError, match="Y contains non-finite"):
+                _fit_arrays(X, labels, cfg, 0, 0)
 
     def test_identity_kind_with_wrong_m_fails_at_fit(self):
         ds = small_data(seed=16)

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from projforest import lrap
+from projforest import metrics
 
 from support import lrap_oracle
 
@@ -100,6 +103,19 @@ class TestProperties:
         with pytest.raises(ValueError):
             lrap(np.zeros((2, 3)), labels([[1, 0], [0, 1]]))
 
+    @pytest.mark.parametrize("shape", [(3,), (), (2, 3, 1)])
+    def test_scores_must_be_a_matrix(self, shape):
+        with pytest.raises(ValueError, match="2-D"):
+            lrap(np.zeros(shape), np.ones((2, 3)))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_labels_rejected(self, value):
+        scores = np.random.default_rng(4).random((2, 3))
+        Y = np.array([[value, 0.0, 0.0], [1.0, 0.0, 0.0]])
+        for given_labels in (Y, Y.tolist(), sp.csr_matrix(Y)):
+            with pytest.raises(ValueError, match="labels must be finite"):
+                lrap(scores, given_labels)
+
     def test_stored_zeros_are_not_relevant(self):
         scores = np.array([[0.9, 0.5, 0.1], [0.2, 0.8, 0.4]])
         dense = np.array([[0.0, 1.0, 0.0], [0.0, 1.0, 0.0]])
@@ -115,3 +131,72 @@ class TestProperties:
     def test_dense_labels_accepted(self):
         scores = np.array([[0.8, 0.9, 0.7]])
         assert abs(lrap(scores, np.array([[1.0, 0.0, 1.0]])) - 7.0 / 12.0) <= 1e-12
+
+
+def messy_csr(Y, gen):
+    """CSR holding the relevance of dense ``Y`` with every relevant entry
+    split into two stored duplicates, stored zeros and pairs of duplicates
+    that cancel to zero scattered in, rows left unsorted."""
+    n, d = Y.shape
+    indptr = [0]
+    indices = []
+    data = []
+    for i in range(n):
+        row = []
+        for j in np.flatnonzero(Y[i]):
+            row += [(j, 0.5 * Y[i, j]), (j, 0.5 * Y[i, j])]
+        for j in np.flatnonzero(Y[i] == 0):
+            kind = gen.integers(0, 3)
+            if kind == 1:
+                row.append((j, 0.0))
+            elif kind == 2:
+                row += [(j, 1.0), (j, -1.0)]
+        gen.shuffle(row)
+        indices += [j for j, _ in row]
+        data += [v for _, v in row]
+        indptr.append(len(indices))
+    return sp.csr_matrix((np.array(data), np.array(indices, dtype=np.int64),
+                          np.array(indptr)), shape=(n, d))
+
+
+@st.composite
+def lrap_problems(draw):
+    """(scores, dense labels): small matrices with heavily tied small-integer
+    or continuous scores and rows that may have no relevant label, or a
+    d=1000 block with about three distinct scores per row, as a forest's
+    predictions on wide labels have."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    if draw(st.booleans()):
+        gen = np.random.default_rng(seed)
+        n = draw(st.integers(1, 4))
+        levels = gen.random((n, 3))
+        scores = levels[np.arange(n)[:, None], gen.integers(0, 3, size=(n, 1000))]
+        Y = (gen.random((n, 1000)) < 0.01).astype(float)
+        return scores, Y, seed
+    n = draw(st.integers(1, 12))
+    d = draw(st.integers(1, 12))
+    if draw(st.booleans()):
+        scores = draw(arrays(np.float64, (n, d), elements=st.integers(0, 3).map(float)))
+    else:
+        scores = draw(arrays(np.float64, (n, d), elements=st.floats(-1e6, 1e6)))
+    Y = draw(arrays(np.float64, (n, d), elements=st.sampled_from([0.0, 0.0, 1.0, 2.0])))
+    return scores, Y, seed
+
+
+@settings(max_examples=150, deadline=None)
+@given(lrap_problems())
+def test_lrap_matches_the_oracle(problem):
+    scores, Y, seed = problem
+    n, d = scores.shape
+    relevant_rows = int(np.count_nonzero(Y.any(axis=1)))
+    for labels in (Y, messy_csr(Y, np.random.default_rng(seed))):
+        for chunk in (metrics.LRAP_CHUNK, d, 2 * d, n * d):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(metrics, "LRAP_CHUNK", chunk)
+                if relevant_rows == 0:
+                    with pytest.raises(ValueError, match="empty label set"):
+                        lrap(scores, labels)
+                    continue
+                value, retained = lrap(scores, labels, return_retained=True)
+            assert retained == relevant_rows
+            assert abs(value - lrap_oracle(scores, labels)) <= 1e-12

@@ -157,6 +157,40 @@ class TestExhaustiveSplit:
         assert trees[0].n_nodes > 10
         assert trees_equal(trees[1], trees[0]) and trees_equal(trees[2], trees[0])
 
+    def test_slab_recurrence_does_not_change_the_split(self, monkeypatch):
+        # With a minimum of 1 every block sums slab by slab, with a huge one
+        # every block uses np.cumsum; column 2 duplicates the informative
+        # column 1, so the tie between them must still go to column 1.
+        gen = np.random.default_rng(15)
+        q, m = 40, 24
+        X = gen.random((q, 6))
+        X[:, 1] = np.repeat([0.0, 1.0, 2.0, 3.0], 10)
+        X[:, 2] = X[:, 1]
+        Z = gen.standard_normal((q, m)) + X[:, [1]]
+        records = []
+        for minimum in (1, 1 << 40):
+            monkeypatch.setattr(tree_module, "SLAB_RECURRENCE_MIN", minimum)
+            for block_bytes in (0, 1 << 40):
+                monkeypatch.setattr(tree_module, "SCAN_BLOCK_BYTES", block_bytes)
+                records.append(best_split_exhaustive(X, Z, np.arange(q), range(6)))
+        assert records[0].feature == 1
+        assert all(rec == records[0] for rec in records)
+
+    def test_slab_recurrence_does_not_change_the_tree(self, monkeypatch):
+        gen = np.random.default_rng(16)
+        X = np.floor(gen.random((80, 6)) * 5.0)
+        X[:, 4] = X[:, 1]
+        Y = gen.standard_normal((80, 40))
+        phi = generate(ProjectionSpec("gaussian", 64), 40, RngStream(5, 0))
+        cfg = TreeConfig(k=5, n_min=2, bootstrap=True)
+        for map_ in (None, phi):
+            trees = []
+            for minimum in (1, 1 << 40):
+                monkeypatch.setattr(tree_module, "SLAB_RECURRENCE_MIN", minimum)
+                trees.append(grow_arrays(X, Y, map_, cfg, RngStream(6, 0)))
+            assert trees[0].n_nodes > 20
+            assert trees_equal(trees[1], trees[0])
+
 
 @st.composite
 def split_problems(draw):
@@ -258,6 +292,20 @@ def toy_dataset():
 
 
 class TestGrow:
+    @pytest.mark.parametrize("storage", ["dense", "csr"])
+    @pytest.mark.parametrize("where", ["X", "Y"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_rejected(self, storage, where, value):
+        gen = np.random.default_rng(8)
+        X = gen.random((30, 3))
+        Y = (gen.random((30, 4)) < 0.4).astype(float)
+        (X if where == "X" else Y)[3, 1] = value
+        wrap = sp.csr_matrix if storage == "csr" else np.asarray
+        phi = generate(ProjectionSpec("gaussian", 2), 4, RngStream(0, 0))
+        for map_ in (None, phi):
+            with pytest.raises(ValueError, match=where + " contains non-finite"):
+                grow_arrays(wrap(X), wrap(Y), map_, TreeConfig(k=2), RngStream(0, 1))
+
     def test_single_leaf_when_n_min_exceeds_n(self):
         ds = toy_dataset()
         cfg = TreeConfig(k=1, n_min=5)

@@ -14,7 +14,10 @@ under both projecting policies) with both splitters, bootstrap on and off,
 and dense and CSR training features.  The wide grid (40 labels) fits the
 exhaustive splitter at a split width of 16 and 40, where BLAS takes a
 different kernel than at m=3 and results can change in the last bits when
-the row count or stride of a product changes.
+the row count or stride of a product changes.  Its ``wide-m64`` lines fit a
+gaussian map at m=64, so that, like ``no_projection`` at m=40 and unlike
+m=16, the scan's prefix sums run slab by slab under a projection too (k=8
+features times m outputs reach ``tree.SLAB_RECURRENCE_MIN``).
 
 The real-valued grid fits on continuous outputs (negative values and zeros
 included), given dense and as CSR, with both splitters and bootstrap on and
@@ -152,6 +155,7 @@ def main():
     run_grid("narrow", X, Y, 3, 4, POLICIES, ("exhaustive", "random_threshold"))
     X, Y = sparse_features(260, 12, 40, seed=5)
     run_grid("wide", X, Y, 16, 8, WIDE_POLICIES, ("exhaustive",))
+    run_grid("wide-m64", X, Y, 64, 8, WIDE_POLICIES[:1], ("exhaustive",))
     X, _ = sparse_features(260, 12, 10, seed=7)
     run_real_grid(X, real_outputs(X, 10, seed=7), 3, 4)
     run_decomposition()
