@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from .data import to_dense
 from .projection import ProjectionSpec, generate, pca_projection, project
 from .rng import RngStream
-from .tree import Tree, TreeConfig, check_finite, grow_arrays
+from .tree import Tree, TreeConfig, grow_arrays
 
 POLICIES = ("shared_subspace", "per_tree_subspace", "no_projection")
 
@@ -155,10 +155,9 @@ def _fit_arrays(X, Y, cfg, phi_seed, eps_seed):
     """Fitting core on raw matrices, with independently seedable projection
     and tree-randomness streams (the nested Monte Carlo harnesses vary one
     while holding the other).  Trees are grown one after another on X
-    densified once.  Non-finite X or Y is rejected before any projection
-    (a PCA map of such labels would fail without saying why)."""
+    densified once.  Non-finite X or Y is rejected: Y by every projection
+    (PCA included) and both by every tree's growth."""
     X = to_dense(X)
-    check_finite(X, Y)
     d = Y.shape[1]
     t = cfg.t
     phi = z = None

@@ -146,16 +146,24 @@ def generate(spec, d, rng):
     raise ValueError("unknown projection kind: {!r}".format(spec.kind))
 
 
+def check_finite_labels(Y):
+    """Reject a dense or sparse Y holding a non-finite value."""
+    if not np.isfinite(Y.tocsr().data if sp.issparse(Y) else Y).all():
+        raise ValueError("Y contains non-finite values")
+
+
 def project(phi, Y):
     """Apply the map row-wise: returns the dense n x m matrix with rows Phi @ y_i.
 
     ``Y`` may be sparse (the usual case for labels) or dense; sparsity is
     exploited, so the cost is proportional to nnz(Y) * m for dense maps.
+    A non-finite value in ``Y`` is rejected.
     """
     if Y.shape[1] != phi.d:
         raise ValueError(
             "Y has {} columns but projection expects {}".format(Y.shape[1], phi.d)
         )
+    check_finite_labels(Y)
     mat = phi.matrix
     if sp.issparse(Y):
         out = Y @ mat.T
@@ -184,9 +192,11 @@ def pca_projection(Y, m):
     Rows are ordered by decreasing eigenvalue of the (population) covariance.
     Deterministic: exact eigenvalue ties are broken by the lowest index of the
     largest-magnitude coordinate, and each row is signed so its
-    largest-magnitude coordinate is positive.
+    largest-magnitude coordinate is positive.  A non-finite value in ``Y``
+    is rejected.
     """
     n, d = Y.shape
+    check_finite_labels(Y)
     if d > 5000:
         raise ValueError("pca_projection is intended for d <= 5000")
     if m > min(n, d):

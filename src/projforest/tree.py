@@ -17,7 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .data import to_dense
-from .projection import project
+from .projection import check_finite_labels, project
 
 SPLITTERS = ("exhaustive", "random_threshold")
 
@@ -424,8 +424,7 @@ def check_finite(X, Y):
     """Reject a dense X or a dense or sparse Y holding a non-finite value."""
     if not np.isfinite(X).all():
         raise ValueError("X contains non-finite values")
-    if not np.isfinite(Y.tocsr().data if sp.issparse(Y) else Y).all():
-        raise ValueError("Y contains non-finite values")
+    check_finite_labels(Y)
 
 
 def grow(ds, phi, cfg, rng):

@@ -1,9 +1,12 @@
 """Shared helpers for the test suite: oracles and data generators."""
 
+import gzip
+import re
+
 import numpy as np
 import scipy.sparse as sp
 
-from projforest import to_dense
+from projforest import DataSet, to_dense
 from projforest.tree import variance_sum
 
 
@@ -138,3 +141,181 @@ def lrap_oracle(scores, Y):
     if retained == 0:
         raise ValueError("every sample has an empty label set; LRAP is undefined")
     return total / retained
+
+
+# The svmlight grammar the loader accepts, one token at a time.
+_SEPARATORS = " \t\x0b\x0c"
+_SPLIT = re.compile("[{}]+".format(_SEPARATORS))
+_INT = re.compile(r"[+-]?[0-9]{1,18}")
+_FLOAT = re.compile(
+    r"[+-]?(?:(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|inf|infinity|nan)",
+    re.IGNORECASE,
+)
+_DIM_TOKEN = re.compile("#([dp])=([0-9]+)")
+
+
+def _open_text(path, mode="rt"):
+    if str(path).endswith(".gz"):
+        return gzip.open(path, mode)
+    return open(path, mode)
+
+
+def reference_load(path):
+    """Line-by-line reference for ``load_svmlight_multilabel``.
+
+    The loader as it was before it parsed in bulk, with three changes: pins
+    apply to the whole file (a second pin of another value is an error),
+    only ``#d=``/``#p=`` in a comment pin (not a bare ``d=``), and tokens
+    follow the ASCII grammar of the module docstring (checked here by
+    regular expression per token) instead of Python's ``int``/``float``.
+    """
+    with _open_text(path) as fh:
+        lines = [raw.rstrip("\n") for raw in fh]
+    pins = {}
+    conflicts = {}
+    for lineno, line in enumerate(lines, start=1):
+        if line.startswith("#"):
+            for key, value in _DIM_TOKEN.findall(line):
+                value = int(value)
+                if pins.setdefault(key, value) != value:
+                    conflicts.setdefault(lineno, (
+                        "line {}: header pins {}={}, but an earlier header pinned {}={}"
+                        .format(lineno, key, value, key, pins[key])
+                    ))
+    pinned_d, pinned_p = pins.get("d"), pins.get("p")
+
+    label_rows = []
+    feature_rows = []
+    max_label = -1
+    max_feature = -1
+    for lineno, line in enumerate(lines, start=1):
+        if lineno in conflicts:
+            raise ValueError(conflicts[lineno])
+        if line.startswith("#") or not line.strip(_SEPARATORS):
+            continue
+        if line[0] in _SEPARATORS:
+            label_part, feature_part = "", line.strip(_SEPARATORS)
+        else:
+            parts = _SPLIT.split(line, maxsplit=1)
+            if ":" in parts[0]:
+                label_part, feature_part = "", line.strip(_SEPARATORS)
+            else:
+                label_part = parts[0]
+                feature_part = parts[1].strip(_SEPARATORS) if len(parts) > 1 else ""
+
+        labels = []
+        if label_part:
+            for tok in label_part.split(","):
+                if not _INT.fullmatch(tok):
+                    raise ValueError("line {}: bad label index {!r}".format(lineno, tok))
+                lab = int(tok)
+                if lab < 0:
+                    raise ValueError("line {}: negative label index {}".format(lineno, lab))
+                if pinned_d is not None and lab >= pinned_d:
+                    raise ValueError(
+                        "line {}: label index {} >= pinned d={}".format(
+                            lineno, lab, pinned_d
+                        )
+                    )
+                labels.append(lab)
+        labels = sorted(set(labels))
+        if labels:
+            max_label = max(max_label, labels[-1])
+
+        feats = []
+        prev_idx = 0
+        if feature_part:
+            for tok in _SPLIT.split(feature_part):
+                idx_str, sep, val_str = tok.partition(":")
+                if not (sep and _INT.fullmatch(idx_str) and _FLOAT.fullmatch(val_str)):
+                    raise ValueError("line {}: bad feature token {!r}".format(lineno, tok))
+                idx = int(idx_str)
+                val = float(val_str)
+                if idx < 1:
+                    raise ValueError(
+                        "line {}: feature indices are 1-based, got {}".format(lineno, idx)
+                    )
+                if idx <= prev_idx:
+                    raise ValueError(
+                        "line {}: feature indices must be strictly increasing"
+                        " ({} after {})".format(lineno, idx, prev_idx)
+                    )
+                if not np.isfinite(val):
+                    raise ValueError(
+                        "line {}: non-finite feature value {!r}".format(lineno, val_str)
+                    )
+                prev_idx = idx
+                if val != 0.0:
+                    feats.append((idx - 1, val))
+            if pinned_p is not None and prev_idx > pinned_p:
+                raise ValueError(
+                    "line {}: feature index {} > pinned p={}".format(
+                        lineno, prev_idx, pinned_p
+                    )
+                )
+            max_feature = max(max_feature, prev_idx - 1)
+        label_rows.append(labels)
+        feature_rows.append(feats)
+
+    n = len(label_rows)
+    if n == 0:
+        raise ValueError("file contains no samples: {}".format(path))
+    d = pinned_d if pinned_d is not None else max_label + 1
+    p = pinned_p if pinned_p is not None else max_feature + 1
+    if d < 1:
+        raise ValueError(
+            "cannot infer the label count (no labels present); add a '#d=...' header"
+        )
+    if p < 1:
+        raise ValueError(
+            "cannot infer the feature count (no features present); add a '#p=...' header"
+        )
+    xi = [i for i, feats in enumerate(feature_rows) for _ in feats]
+    xj = [j for feats in feature_rows for j, _ in feats]
+    xv = [v for feats in feature_rows for _, v in feats]
+    X = sp.csr_matrix(
+        (np.array(xv, dtype=np.float64),
+         (np.array(xi, dtype=np.int64), np.array(xj, dtype=np.int64))),
+        shape=(n, p),
+    )
+    yi = [i for i, labels in enumerate(label_rows) for _ in labels]
+    yj = [lab for labels in label_rows for lab in labels]
+    Y = sp.csr_matrix(
+        (np.ones(len(yj)), (np.array(yi, dtype=np.int64), np.array(yj, dtype=np.int64))),
+        shape=(n, d),
+    )
+    return DataSet(X, Y)
+
+
+def reference_dump(ds, path, header=True):
+    """The writer as it was before it wrote in bulk: one row at a time,
+    formatting one value at a time."""
+    X = sp.csr_matrix(ds.X_rows())
+    Y = ds.Y_rows().tocsr()
+    n = ds.n_samples
+    with _open_text(path, "wt") as fh:
+        if header:
+            fh.write("#d={} #p={}\n".format(ds.n_labels, ds.n_features))
+        for i in range(n):
+            labels = Y.indices[Y.indptr[i] : Y.indptr[i + 1]]
+            cols = X.indices[X.indptr[i] : X.indptr[i + 1]]
+            vals = X.data[X.indptr[i] : X.indptr[i + 1]]
+            order = np.argsort(cols)
+            feats = " ".join(
+                "{}:{}".format(int(cols[j]) + 1, repr(float(vals[j])))
+                for j in order
+                if vals[j] != 0.0
+            )
+            labels = ",".join(str(int(lab)) for lab in sorted(labels))
+            fh.write("{} {}\n".format(labels, feats))
+
+
+def assert_same_dataset(a, b):
+    """Bit-identical matrices: shapes, and the dtype and bytes of every
+    CSR array."""
+    for A, B in ((a.X, b.X), (a.Y, b.Y)):
+        assert A.shape == B.shape
+        for name in ("data", "indices", "indptr"):
+            x, y = getattr(A, name), getattr(B, name)
+            assert x.dtype == y.dtype, name
+            assert x.tobytes() == y.tobytes(), name

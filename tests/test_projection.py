@@ -206,6 +206,27 @@ class TestPca:
             pca_projection(Y, 5)
 
 
+def labels_with(value, seed=1):
+    """Real-valued outputs holding one ``value``, dense and as CSR."""
+    Y = np.random.default_rng(seed).random((60, 8))
+    Y[5, 2] = value
+    return [Y, sp.csr_matrix(Y)]
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+class TestNonFiniteLabels:
+    def test_pca_rejects(self, value):
+        for Y in labels_with(value):
+            with pytest.raises(ValueError, match="Y contains non-finite values"):
+                pca_projection(Y, 3)
+
+    def test_project_rejects(self, value):
+        phi = generate(ProjectionSpec("gaussian", 3), 8, RngStream(4, 0))
+        for Y in labels_with(value):
+            with pytest.raises(ValueError, match="Y contains non-finite values"):
+                project(phi, Y)
+
+
 class TestDistortion:
     def test_identity_never_violates(self):
         Y = random_sparse_labels(20, 12, 0.3, 7)

@@ -25,12 +25,21 @@ off.  Binary labels make every leaf sum an exact integer in any order, so
 only this grid shows a change in the order in which leaf sums are added.
 The decomposition lines digest ``estimate_ensemble`` estimates for a shared
 and a per-tree subspace config, as the Monte Carlo harness runs them.  The
+``io`` lines digest the bytes ``dump_svmlight_multilabel`` writes for a
+yeast-shaped set (103 features, 14 labels), plain, gzipped and without a
+header, and the CSR arrays ``load_svmlight_multilabel`` reads back from each
+file and from a hand-written one (CRLF and lone CR newlines, comments, blank
+lines, explicit zeros, unlabeled and label-only rows).  A gzipped file is
+digested decompressed, since its header holds the time of writing.  The
 script takes a few seconds.
 """
 
+import gzip
 import hashlib
 import itertools
 import json
+import os
+import tempfile
 
 import numpy as np
 import scipy.sparse as sp
@@ -40,8 +49,10 @@ from projforest import (
     EnsembleConfig,
     ProjectionSpec,
     TreeConfig,
+    dump_svmlight_multilabel,
     estimate_ensemble,
     fit,
+    load_svmlight_multilabel,
     make_synthetic_multilabel,
     two_feature_problem,
 )
@@ -150,6 +161,46 @@ def run_decomposition():
         print("decomposition", policy, h.hexdigest())
 
 
+HANDWRITTEN = (
+    b"# a hand-written file\r\n#d=5 #p=6\r\n"
+    b"0,3 1:1.5 2:0 4:-0.0 6:2.5e-3\r\n"
+    b"\r\n"
+    b" 2:-7 3:.5 5:1E+2\r"
+    b"4,4,1\n"
+    b"2\t1:5e-324 3:1.7976931348623157e308\n"
+    b"1 2:+3. 6:-0.125"
+)
+
+
+def csr_digest(ds):
+    """SHA-256 over the shape, dtype and bytes of every CSR array of X and Y."""
+    h = hashlib.sha256()
+    for M in (ds.X, ds.Y):
+        h.update(repr(M.shape).encode())
+        for a in (M.data, M.indices, M.indptr):
+            h.update(a.dtype.str.encode())
+            h.update(a.tobytes())
+    return h.hexdigest()
+
+
+def run_io():
+    """Digests of files written and read back, and of a hand-written file."""
+    ds = make_synthetic_multilabel(300, 103, 14, n_clusters=32, labels_per_cluster=4,
+                                   noise=1.0, flip=0.005, seed=11)
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, header in (("yeast.svm", True), ("yeast.svm.gz", True),
+                             ("no-header.svm", False)):
+            path = os.path.join(tmp, name)
+            dump_svmlight_multilabel(ds, path, header=header)
+            with (gzip.open if name.endswith(".gz") else open)(path, "rb") as fh:
+                print("io dump", name, hashlib.sha256(fh.read()).hexdigest())
+            print("io load", name, csr_digest(load_svmlight_multilabel(path)))
+        path = os.path.join(tmp, "handwritten.svm")
+        with open(path, "wb") as fh:
+            fh.write(HANDWRITTEN)
+        print("io load handwritten.svm", csr_digest(load_svmlight_multilabel(path)))
+
+
 def main():
     X, Y = sparse_features(260, 12, 10, seed=3)
     run_grid("narrow", X, Y, 3, 4, POLICIES, ("exhaustive", "random_threshold"))
@@ -159,6 +210,7 @@ def main():
     X, _ = sparse_features(260, 12, 10, seed=7)
     run_real_grid(X, real_outputs(X, 10, seed=7), 3, 4)
     run_decomposition()
+    run_io()
 
 
 if __name__ == "__main__":
