@@ -15,7 +15,6 @@ from projforest import (
     TreeConfig,
     ensemble_variance_curve,
     estimate_ensemble,
-    estimate_single_tree,
     two_feature_problem,
 )
 
@@ -35,9 +34,11 @@ def show(title, report):
     print()
 
 
+# A single tree is the t=1 ensemble; at t=1 both policies grow the same tree.
+single = EnsembleConfig(t=1, tree=tree_cfg, projection=spec, policy="per_tree_subspace")
 show(
     "single tree, labels projected to m=1:",
-    estimate_single_tree(problem, tree_cfg, spec, seed=1, **counts),
+    estimate_ensemble(problem, single, seed=1, **counts),
 )
 
 t = 10

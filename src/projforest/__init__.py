@@ -6,7 +6,7 @@ predictions in the original label space, so training cost scales with the
 compressed dimension and prediction needs no decoding.
 """
 
-from .data import DataSet, as_feature_matrix, as_label_matrix, to_dense, to_sparse
+from .data import DataSet, as_feature_matrix, as_label_matrix, to_dense
 from .rng import RngStream
 from .projection import (
     DistortionReport,
@@ -24,7 +24,6 @@ from .tree import (
     TreeConfig,
     best_split_exhaustive,
     best_split_random_threshold,
-    grow,
     grow_arrays,
     trees_equal,
     variance_sum,
@@ -45,7 +44,6 @@ from .decomposition import (
     deterministic_grid_problem,
     ensemble_variance_curve,
     estimate_ensemble,
-    estimate_single_tree,
     two_feature_problem,
 )
 from .bench import (
@@ -86,12 +84,10 @@ __all__ = [
     "dump_svmlight_multilabel",
     "ensemble_variance_curve",
     "estimate_ensemble",
-    "estimate_single_tree",
     "experiment_from_config",
     "fit",
     "fit_timed",
     "generate",
-    "grow",
     "grow_arrays",
     "jl_min_dimension",
     "load_svmlight_multilabel",
@@ -104,7 +100,6 @@ __all__ = [
     "run_grid",
     "summarize",
     "to_dense",
-    "to_sparse",
     "trees_equal",
     "two_feature_problem",
     "variance_sum",

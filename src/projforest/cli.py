@@ -18,6 +18,8 @@ import sys
 import time
 
 from .bench import (
+    _parse_bool,
+    _scalar,
     experiment_from_config,
     make_ensemble_config,
     parse_config_text,
@@ -125,40 +127,47 @@ def _cmd_summarize(args):
     return 0
 
 
+# Keys of a ``decompose`` config and their defaults.
+DECOMPOSE_DEFAULTS = {
+    "n_train": "100", "noise_sd": "0.1", "k": "2", "n_min": "25",
+    "splitter": "random_threshold", "bootstrap": "false",
+    "policy": "per_tree_subspace", "kind": "gaussian", "m": "1", "t": "10",
+    "n_ls": "30", "n_phi": "20", "n_eps": "20", "seed": "0",
+}
+
+
 def _cmd_decompose(args):
     raw = parse_config_text(_read_text(args.config)) if args.config else {}
+    unknown = sorted(set(raw) - set(DECOMPOSE_DEFAULTS))
+    if unknown:
+        raise ValueError("unknown config key(s): {}".format(", ".join(unknown)))
 
-    def get(key, default):
-        values = raw.get(key)
-        if values is None:
-            return default
-        return values[0]
+    def get(key):
+        return _scalar(raw, key, DECOMPOSE_DEFAULTS[key])
 
     problem = two_feature_problem(
-        n_train=int(get("n_train", 100)), noise_sd=float(get("noise_sd", 0.1))
+        n_train=int(get("n_train")), noise_sd=float(get("noise_sd"))
     )
     tree = TreeConfig(
-        k=int(get("k", 2)),
-        n_min=int(get("n_min", 25)),
-        splitter=get("splitter", "random_threshold"),
-        bootstrap=get("bootstrap", "false").lower() == "true",
+        k=int(get("k")),
+        n_min=int(get("n_min")),
+        splitter=get("splitter"),
+        bootstrap=_parse_bool(get("bootstrap")),
     )
-    policy = get("policy", "per_tree_subspace")
+    policy = get("policy")
     projection = (
         None
         if policy == "no_projection"
-        else ProjectionSpec(get("kind", "gaussian"), int(get("m", 1)))
+        else ProjectionSpec(get("kind"), int(get("m")))
     )
-    cfg = EnsembleConfig(
-        t=int(get("t", 10)), tree=tree, projection=projection, policy=policy
-    )
+    cfg = EnsembleConfig(t=int(get("t")), tree=tree, projection=projection, policy=policy)
     report = estimate_ensemble(
         problem,
         cfg,
-        n_ls=int(get("n_ls", 30)),
-        n_phi=int(get("n_phi", 20)),
-        n_eps=int(get("n_eps", 20)),
-        seed=args.seed if args.seed is not None else int(get("seed", 0)),
+        n_ls=int(get("n_ls")),
+        n_phi=int(get("n_phi")),
+        n_eps=int(get("n_eps")),
+        seed=args.seed if args.seed is not None else int(get("seed")),
     )
     for term in ("residual_variance", "bias_sq", "var_learning_sample",
                  "var_algorithm", "var_projection", "total_direct"):

@@ -56,15 +56,6 @@ def to_dense(A):
     return np.asarray(A, dtype=np.float64)
 
 
-def to_sparse(A):
-    """CSR matrix from a dense or sparse matrix, dropping explicit zeros."""
-    A = sp.csr_matrix(A, dtype=np.float64)
-    A.sum_duplicates()
-    A.eliminate_zeros()
-    A.sort_indices()
-    return A
-
-
 class DataSet:
     """Paired input matrix and binary label matrix with zero-copy row views.
 

@@ -486,13 +486,19 @@ def dump_svmlight_multilabel(ds, path, header=True):
 
 
 def _rows_text(X, Y):
-    """The lines of the rows of CSR ``X`` and ``Y``, as one string."""
+    """The lines of the rows of CSR ``X`` and ``Y``, as one string.
+
+    A row with neither a label nor a feature would be a blank line, which
+    the loader skips; it is written as the explicit zero ``1:0`` instead,
+    which the loader keeps as an empty row.
+    """
     tokens = list(map("{}:{!r}".format, (X.indices + 1).tolist(), X.data.tolist()))
     labels = list(map(str, Y.indices.tolist()))
     x, y = X.indptr.tolist(), Y.indptr.tolist()
     return "".join([
         "{} {}\n".format(",".join(labels[y[i] : y[i + 1]]),
-                         " ".join(tokens[x[i] : x[i + 1]]))
+                         " ".join(tokens[x[i] : x[i + 1]])
+                         if x[i] < x[i + 1] or y[i] < y[i + 1] else "1:0")
         for i in range(X.shape[0])
     ])
 

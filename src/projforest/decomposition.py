@@ -17,9 +17,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ensemble import _fit_arrays
-from .projection import generate
-from .rng import RngStream
-from .tree import grow_arrays
 
 TERMS = (
     "residual_variance",
@@ -239,28 +236,6 @@ def _report_from_predictions(problem, P, master, n_bootstrap=200):
         report.mean_estimate[term] = float(np.mean(point[term]))
         report.mean_se[term] = float(boot[term].mean(axis=1).std(ddof=1))
     return report
-
-
-def estimate_single_tree(
-    problem, tree_cfg, projection=None, n_ls=30, n_phi=20, n_eps=20, seed=0
-):
-    """Decompose the error of a single randomized tree at the probe points.
-
-    ``projection`` is a :class:`ProjectionSpec` or None for growth directly
-    on the original outputs.
-    """
-
-    def predictor(X, Y, phi_seed, eps_seed):
-        phi = (
-            generate(projection, problem.n_outputs, RngStream(phi_seed, 0))
-            if projection is not None
-            else None
-        )
-        tree = grow_arrays(X, Y, phi, tree_cfg, RngStream(eps_seed, 0))
-        return tree.predict(problem.probes)
-
-    P, master = _collect_predictions(problem, predictor, n_ls, n_phi, n_eps, seed)
-    return _report_from_predictions(problem, P, master)
 
 
 def estimate_ensemble(problem, cfg, n_ls=30, n_phi=20, n_eps=20, seed=0):

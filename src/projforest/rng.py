@@ -1,17 +1,16 @@
-"""Seedable random streams with deterministic substream derivation."""
+"""Seedable random streams, one per ``(seed, stream_id)`` pair."""
 
 import numpy as np
 
 
 class RngStream:
-    """Deterministic random deviate stream identified by ``(seed, stream_id)``.
+    """Deterministic random stream identified by ``(seed, stream_id)``; its
+    deviates come from the numpy ``generator``.
 
     Two streams built from the same pair produce identical sequences; streams
     with distinct ids are independent in practice.  All randomness in the
-    library flows through streams like this one, so any fitted model is a pure
-    function of its seeds and parallel work stays reproducible regardless of
-    scheduling: a worker never shares a stream, it derives a child with a
-    fresh ``stream_id``.
+    library flows through streams like this one, each with its own id, so any
+    fitted model is a pure function of its seeds.
     """
 
     def __init__(self, seed, stream_id=0):
@@ -19,21 +18,6 @@ class RngStream:
         self.stream_id = int(stream_id)
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream_id,))
         self.generator = np.random.Generator(np.random.PCG64(ss))
-
-    def child(self, stream_id):
-        """Fresh stream with the same seed and a different id."""
-        return RngStream(self.seed, stream_id)
-
-    def uniform(self, size=None):
-        """Uniform deviates in [0, 1)."""
-        return self.generator.random(size)
-
-    def gaussian(self, size=None):
-        """Standard normal deviates (mean 0, variance 1)."""
-        return self.generator.standard_normal(size)
-
-    def integers(self, low, high=None, size=None):
-        return self.generator.integers(low, high, size=size)
 
     def __repr__(self):
         return "RngStream(seed={}, stream_id={})".format(self.seed, self.stream_id)

@@ -267,14 +267,15 @@ class Tree:
             raise ValueError("X contains non-finite values")
         return X
 
-    def apply(self, X):
+    def apply(self, X, *, checked=False):
         """Leaf index reached by every row of X (dense or sparse).  Rows of
-        the wrong width or with a non-finite value are rejected."""
-        return self._route(self.check_rows(X))
+        the wrong width or with a non-finite value are rejected.
 
-    def _route(self, X):
-        """Leaf index reached by every row of a dense X that
-        :meth:`check_rows` has accepted."""
+        With ``checked`` the caller passes an X that :meth:`check_rows`
+        returned, so a forest checks its input once for all trees.
+        """
+        if not checked:
+            X = self.check_rows(X)
         node = np.zeros(X.shape[0], dtype=np.int64)
         while True:
             f = self.feature[node]
@@ -289,32 +290,9 @@ class Tree:
             )
 
     def predict(self, X, *, checked=False):
-        """Leaf vector (length d) for every row of X, as an (n, d) array.
-
-        With ``checked`` the caller passes an X that :meth:`check_rows`
-        returned, so a forest checks its input once for all trees.
-        """
-        return self.leaf_values[self._route(X) if checked else self.apply(X)]
-
-    def predict_one(self, x):
-        """Leaf vector for a single input row.  A row with a non-finite value
-        is rejected."""
-        x = np.asarray(x, dtype=np.float64).ravel()
-        if x.size != self.n_features:
-            raise ValueError(
-                "input has {} features, tree expects {}".format(
-                    x.size, self.n_features
-                )
-            )
-        if not np.isfinite(x).all():
-            raise ValueError("input contains non-finite values")
-        node = 0
-        while self.feature[node] >= 0:
-            if x[self.feature[node]] <= self.threshold[node]:
-                node = self.children_left[node]
-            else:
-                node = self.children_right[node]
-        return self.leaf_values[self.leaf_id[node]]
+        """Leaf vector (length d) for every row of X, as an (n, d) array;
+        ``checked`` as in :meth:`apply`."""
+        return self.leaf_values[self.apply(X, checked=checked)]
 
     def to_dict(self):
         """Plain-serializable document; see README for the schema."""
@@ -427,20 +405,12 @@ def check_finite(X, Y):
     check_finite_labels(Y)
 
 
-def grow(ds, phi, cfg, rng):
-    """Grow one tree on a dataset view.
-
-    The structure is fitted on Z = project(phi, Y) (or on Y itself when
-    ``phi`` is None); leaves are labeled with means of the original Y rows
-    reaching them, bootstrap multiplicities included.
-    """
-    return grow_arrays(ds.X_rows(), ds.Y_rows(), phi, cfg, rng)
-
-
 def grow_arrays(X, Y, phi, cfg, rng, Z=None):
     """Grow one tree from raw matrices.
 
-    ``X`` is (n, p) dense or CSR (densified; dense float64 is not copied),
+    The structure is fitted on Z = project(phi, Y) (or on Y itself when
+    ``phi`` is None); leaves are labeled with means of the original Y rows
+    reaching them, bootstrap multiplicities included.  ``X`` is (n, p) dense or CSR (densified; dense float64 is not copied),
     ``Y`` is (n, d) dense or CSR; a non-finite value in either is rejected.
     ``Z`` may carry a precomputed projection of Y (used to time projection
     separately from growth); otherwise it is computed here.

@@ -97,6 +97,18 @@ def node_memberships(tree, X):
     return {k: np.asarray(v) for k, v in members.items()}
 
 
+def tree_walk(tree, x):
+    """Leaf vector of one row, by walking the tree one node at a time: the
+    scalar oracle for the batch routing of ``Tree.apply``/``Tree.predict``."""
+    node = 0
+    while tree.feature[node] >= 0:
+        if x[tree.feature[node]] <= tree.threshold[node]:
+            node = tree.children_left[node]
+        else:
+            node = tree.children_right[node]
+    return tree.leaf_values[tree.leaf_id[node]]
+
+
 def variance_sum_pairwise(Y_rows):
     """Same quantity as :func:`projforest.tree.variance_sum` via literal
     pairwise enumeration: (1 / 2 q^2) * sum_ij |y_i - y_j|^2.  Quadratic;

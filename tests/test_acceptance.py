@@ -39,7 +39,7 @@ from projforest import (
     write_grid_csv,
 )
 from projforest.bench import CSV_COLUMNS, TIMING_COLUMNS
-from projforest.tree import grow
+from projforest.tree import grow_arrays
 
 from support import lrap_oracle, pattern_label_matrix, variance_sum_pairwise
 
@@ -111,8 +111,8 @@ def test_criterion_3_identity_equivalence():
         )
         tree_cfg = TreeConfig(k=2, n_min=2, bootstrap=True)
         phi = generate(ProjectionSpec("identity", 8), 8, RngStream(trial, 0))
-        a = grow(ds, phi, tree_cfg, RngStream(trial, 1))
-        b = grow(ds, None, tree_cfg, RngStream(trial, 1))
+        a = grow_arrays(ds.X, ds.Y, phi, tree_cfg, RngStream(trial, 1))
+        b = grow_arrays(ds.X, ds.Y, None, tree_cfg, RngStream(trial, 1))
         ok = ok and trees_equal(a, b)
 
         shared = fit(

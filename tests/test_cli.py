@@ -111,6 +111,17 @@ class TestDecomposeCommand:
         assert "var_projection" in capsys.readouterr().out
         assert out.read_text().startswith("probe,term,estimate,se")
 
+    def test_unknown_key_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "dec.cfg"
+        cfg.write_text("n_ls = 3\nn_phy = 50\n")
+        assert main(["decompose", "--config", str(cfg)]) == 1
+        assert "unknown config key(s): n_phy" in capsys.readouterr().err
+
+    def test_list_value_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "dec.cfg"
+        cfg.write_text("t = 2, 30\n")
+        assert main(["decompose", "--config", str(cfg)]) == 1
+        assert "'t' must be a single value" in capsys.readouterr().err
 
     def test_policies_differ_under_the_defaults(self, tmp_path, capsys):
         totals = {}

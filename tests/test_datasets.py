@@ -150,6 +150,17 @@ class TestRoundTrip:
         np.testing.assert_array_equal(to_dense(back.X), to_dense(ds.X_rows()))
         np.testing.assert_array_equal(to_dense(back.Y), to_dense(ds.Y_rows()))
 
+    @pytest.mark.parametrize("header", [True, False])
+    def test_row_with_no_label_and_no_feature_is_kept(self, tmp_path, header):
+        X = np.array([[1.5, 0.0], [0.0, 0.0], [0.0, 2.0]])
+        Y = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
+        path = tmp_path / "empty-row.svm"
+        dump_svmlight_multilabel(DataSet(X, Y), path, header=header)
+        assert path.read_text().splitlines()[-2] == " 1:0"
+        back = load_svmlight_multilabel(path)
+        np.testing.assert_array_equal(to_dense(back.X), X)
+        np.testing.assert_array_equal(to_dense(back.Y), Y)
+
     def test_reserialization_is_identical(self, tmp_path):
         ds = make_synthetic_multilabel(15, 3, 5, seed=2)
         first = tmp_path / "a.svm"

@@ -8,9 +8,9 @@ from projforest import (
     deterministic_grid_problem,
     ensemble_variance_curve,
     estimate_ensemble,
-    estimate_single_tree,
     two_feature_problem,
 )
+from projforest.decomposition import TERMS
 
 ET = dict(splitter="random_threshold", bootstrap=False)
 
@@ -26,12 +26,17 @@ def gaussian_cfg(policy, t, m=1, **tree_kwargs):
     )
 
 
+def one_tree(tree, projection):
+    """A single tree grown on its own draw of the projection."""
+    return EnsembleConfig(t=1, tree=tree, projection=projection, policy="per_tree_subspace")
+
+
 class TestDeterministicProblem:
     def test_all_terms_vanish(self):
         problem = deterministic_grid_problem()
         cfg = TreeConfig(k=2, n_min=1, splitter="exhaustive", bootstrap=False)
-        report = estimate_single_tree(
-            problem, cfg, ProjectionSpec("identity", 2), n_ls=3, n_phi=2, n_eps=2
+        report = estimate_ensemble(
+            problem, one_tree(cfg, ProjectionSpec("identity", 2)), n_ls=3, n_phi=2, n_eps=2
         )
         for term in ("residual_variance", "bias_sq", "var_learning_sample",
                      "var_algorithm", "var_projection", "total_direct"):
@@ -42,10 +47,9 @@ class TestDeterministicProblem:
 class TestEstimatorStructure:
     def test_identity_projection_kills_projection_variance(self):
         problem = two_feature_problem()
-        report = estimate_single_tree(
+        report = estimate_ensemble(
             problem,
-            TreeConfig(k=2, n_min=25, **ET),
-            ProjectionSpec("identity", 2),
+            one_tree(TreeConfig(k=2, n_min=25, **ET), ProjectionSpec("identity", 2)),
             n_ls=20,
             n_phi=8,
             n_eps=8,
@@ -59,10 +63,9 @@ class TestEstimatorStructure:
         # The nested estimators telescope: decomposed total equals the direct
         # estimate identically, not just within Monte Carlo error.
         problem = two_feature_problem()
-        report = estimate_single_tree(
+        report = estimate_ensemble(
             problem,
-            TreeConfig(k=2, n_min=25, **ET),
-            ProjectionSpec("gaussian", 1),
+            one_tree(TreeConfig(k=2, n_min=25, **ET), ProjectionSpec("gaussian", 1)),
             n_ls=6,
             n_phi=5,
             n_eps=5,
@@ -74,10 +77,9 @@ class TestEstimatorStructure:
 
     def test_terms_do_not_dip_far_below_zero(self):
         problem = two_feature_problem()
-        report = estimate_single_tree(
+        report = estimate_ensemble(
             problem,
-            TreeConfig(k=2, n_min=25, **ET),
-            ProjectionSpec("gaussian", 1),
+            one_tree(TreeConfig(k=2, n_min=25, **ET), ProjectionSpec("gaussian", 1)),
             n_ls=8,
             n_phi=6,
             n_eps=6,
@@ -92,17 +94,17 @@ class TestEstimatorStructure:
     def test_counts_must_be_at_least_two(self):
         problem = two_feature_problem()
         with pytest.raises(ValueError):
-            estimate_single_tree(
-                problem, TreeConfig(k=2, n_min=25, **ET),
-                ProjectionSpec("gaussian", 1), n_ls=1, n_phi=3, n_eps=3,
+            estimate_ensemble(
+                problem,
+                one_tree(TreeConfig(k=2, n_min=25, **ET), ProjectionSpec("gaussian", 1)),
+                n_ls=1, n_phi=3, n_eps=3,
             )
 
     def test_csv_export(self, tmp_path):
         problem = two_feature_problem(n_probes=2)
-        report = estimate_single_tree(
+        report = estimate_ensemble(
             problem,
-            TreeConfig(k=2, n_min=30, **ET),
-            ProjectionSpec("gaussian", 1),
+            one_tree(TreeConfig(k=2, n_min=30, **ET), ProjectionSpec("gaussian", 1)),
             n_ls=3,
             n_phi=2,
             n_eps=2,
@@ -118,19 +120,17 @@ class TestEstimatorStructure:
 
 class TestEnsembleDecomposition:
     def test_single_tree_ensemble_matches_single_tree(self):
+        # At t=1 both policies draw projection stream 0 and tree stream 1, so
+        # the shared and per-tree estimates are the same numbers.
         problem = two_feature_problem()
-        counts = dict(n_ls=10, n_phi=8, n_eps=8)
-        tree_report = estimate_single_tree(
-            problem, TreeConfig(k=2, n_min=25, **ET),
-            ProjectionSpec("gaussian", 1), seed=5, **counts
-        )
-        ens_report = estimate_ensemble(
-            problem, gaussian_cfg("per_tree_subspace", t=1), seed=6, **counts
-        )
-        for term in ("total_direct", "var_projection", "var_algorithm"):
-            diff = abs(tree_report.mean_estimate[term] - ens_report.mean_estimate[term])
-            se = np.hypot(tree_report.mean_se[term], ens_report.mean_se[term])
-            assert diff <= 3.0 * se, term
+        counts = dict(n_ls=10, n_phi=8, n_eps=8, seed=5)
+        shared = estimate_ensemble(problem, gaussian_cfg("shared_subspace", t=1), **counts)
+        per_tree = estimate_ensemble(problem, gaussian_cfg("per_tree_subspace", t=1), **counts)
+        for term in TERMS:
+            np.testing.assert_array_equal(shared.estimates[term], per_tree.estimates[term])
+            np.testing.assert_array_equal(shared.se[term], per_tree.se[term])
+            assert shared.mean_estimate[term] == per_tree.mean_estimate[term]
+            assert shared.mean_se[term] == per_tree.mean_se[term]
 
     def test_per_tree_policy_divides_projection_variance_by_t(self):
         problem = two_feature_problem()

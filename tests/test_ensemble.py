@@ -26,6 +26,8 @@ from projforest import (
 )
 from projforest.ensemble import _fit_arrays
 
+from support import tree_walk
+
 
 def small_data(seed=0, n=60, p=4, d=8):
     return make_synthetic_multilabel(n, p, d, n_clusters=5, seed=seed)
@@ -169,8 +171,8 @@ class TestPredict:
                     ens.predict(rows)
                 with pytest.raises(ValueError, match="non-finite"):
                     ens.trees[0].apply(rows)
-            with pytest.raises(ValueError, match="non-finite"):
-                ens.trees[0].predict_one(X[1])
+                with pytest.raises(ValueError, match="non-finite"):
+                    ens.trees[0].predict(rows)
 
 
 @lru_cache(maxsize=None)
@@ -189,7 +191,7 @@ def test_predict_on_csr_and_dense_rows_is_the_mean_of_tree_walks(data):
     X = data.draw(arrays(np.float64, (n_rows, ens.n_features), elements=value))
     dense = ens.predict(X)
     np.testing.assert_array_equal(ens.predict(sp.csr_matrix(X)), dense)
-    walks = [sum(tree.predict_one(x) for tree in ens.trees) / ens.t for x in X]
+    walks = [sum(tree_walk(tree, x) for tree in ens.trees) / ens.t for x in X]
     np.testing.assert_array_equal(dense, np.array(walks))
 
 

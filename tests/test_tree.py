@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from projforest import (
-    DataSet,
     ProjectionSpec,
     RngStream,
     TreeConfig,
@@ -16,7 +15,6 @@ from projforest import (
     best_split_random_threshold,
     distortion_check,
     generate,
-    grow,
     grow_arrays,
     jl_min_dimension,
     project,
@@ -33,6 +31,7 @@ from support import (
     brute_force_splits,
     node_memberships,
     pattern_label_matrix,
+    tree_walk,
     variance_sum_pairwise,
 )
 
@@ -287,10 +286,6 @@ class TestRandomThresholdSplit:
         assert rec.feature == 1
 
 
-def toy_dataset():
-    return DataSet(TOY_X, sp.csr_matrix(TOY_Z))
-
-
 class TestGrow:
     @pytest.mark.parametrize("storage", ["dense", "csr"])
     @pytest.mark.parametrize("where", ["X", "Y"])
@@ -307,11 +302,10 @@ class TestGrow:
                 grow_arrays(wrap(X), wrap(Y), map_, TreeConfig(k=2), RngStream(0, 1))
 
     def test_single_leaf_when_n_min_exceeds_n(self):
-        ds = toy_dataset()
         cfg = TreeConfig(k=1, n_min=5)
-        tree = grow(ds, None, cfg, RngStream(0, 0))
+        tree = grow_arrays(TOY_X, TOY_Z, None, cfg, RngStream(0, 0))
         assert tree.n_leaves == 1
-        np.testing.assert_array_equal(tree.predict_one([7.0]), [0.5, 0.5])
+        np.testing.assert_array_equal(tree.predict([[7.0]]), [[0.5, 0.5]])
 
     def test_identity_projection_equals_no_projection(self):
         gen = np.random.default_rng(4)
@@ -319,20 +313,18 @@ class TestGrow:
             n, p, d = 40, 3, 6
             X = gen.random((n, p))
             Y = sp.csr_matrix((gen.random((n, d)) < 0.3).astype(float))
-            ds = DataSet(X, Y)
             cfg = TreeConfig(k=2, n_min=2, bootstrap=True)
             phi = generate(ProjectionSpec("identity", d), d, RngStream(trial, 0))
-            a = grow(ds, phi, cfg, RngStream(trial, 9))
-            b = grow(ds, None, cfg, RngStream(trial, 9))
+            a = grow_arrays(X, Y, phi, cfg, RngStream(trial, 9))
+            b = grow_arrays(X, Y, None, cfg, RngStream(trial, 9))
             assert trees_equal(a, b)
 
     def test_toy_split_recovered_under_1d_gaussian_projection(self):
-        ds = toy_dataset()
         cfg = TreeConfig(k=1, n_min=2)
         recovered = 0
         for seed in range(100):
             phi = generate(ProjectionSpec("gaussian", 1), 2, RngStream(seed, 0))
-            tree = grow(ds, phi, cfg, RngStream(seed, 1))
+            tree = grow_arrays(TOY_X, TOY_Z, phi, cfg, RngStream(seed, 1))
             if tree.n_nodes >= 3 and tree.threshold[0] == 5.5:
                 recovered += 1
         assert recovered >= 95
@@ -341,9 +333,8 @@ class TestGrow:
         gen = np.random.default_rng(5)
         X = gen.random((60, 4))
         Y = sp.csr_matrix((gen.random((60, 10)) < 0.25).astype(float))
-        ds = DataSet(X, Y)
         phi = generate(ProjectionSpec("gaussian", 2), 10, RngStream(0, 0))
-        tree = grow(ds, phi, TreeConfig(k=2, n_min=4), RngStream(0, 1))
+        tree = grow_arrays(X, Y, phi, TreeConfig(k=2, n_min=4), RngStream(0, 1))
         assert tree.leaf_values.shape[1] == 10  # original label space
         assert tree.leaf_values.min() >= 0.0
         assert tree.leaf_values.max() <= 1.0
@@ -352,8 +343,7 @@ class TestGrow:
         gen = np.random.default_rng(6)
         X = gen.random((50, 3))
         Y = sp.csr_matrix((gen.random((50, 5)) < 0.4).astype(float))
-        ds = DataSet(X, Y)
-        tree = grow(ds, None, TreeConfig(k=3, n_min=3), RngStream(2, 0))
+        tree = grow_arrays(X, Y, None, TreeConfig(k=3, n_min=3), RngStream(2, 0))
         leaves = tree.apply(X)
         assert leaves.shape == (50,)
         counts = np.bincount(leaves, minlength=tree.n_leaves)
@@ -364,7 +354,7 @@ class TestGrow:
         gen = np.random.default_rng(7)
         X = gen.random((30, 2))
         Y = sp.csr_matrix((gen.random((30, 4)) < 0.5).astype(float))
-        tree = grow(DataSet(X, Y), None, TreeConfig(k=2, bootstrap=True), RngStream(3, 0))
+        tree = grow_arrays(X, Y, None, TreeConfig(k=2, bootstrap=True), RngStream(3, 0))
         assert tree.leaf_counts.sum() == 30
 
     def test_bootstrap_leaf_values_use_multiplicities(self):
@@ -372,7 +362,7 @@ class TestGrow:
         X = np.array([[0.0], [1.0]])
         Y = sp.csr_matrix(np.array([[1.0], [0.0]]))
         cfg = TreeConfig(k=1, n_min=5, bootstrap=True)  # single leaf
-        tree = grow(DataSet(X, Y), None, cfg, RngStream(11, 0))
+        tree = grow_arrays(X, Y, None, cfg, RngStream(11, 0))
         rows = RngStream(11, 0).generator.integers(0, 2, size=2)
         expected = to_dense(Y)[rows].mean(axis=0)
         np.testing.assert_array_equal(tree.leaf_values[0], expected)
@@ -381,19 +371,18 @@ class TestGrow:
         gen = np.random.default_rng(8)
         X = gen.random((80, 5))
         Y = sp.csr_matrix((gen.random((80, 8)) < 0.3).astype(float))
-        tree = grow(DataSet(X, Y), None, TreeConfig(k=3, n_min=2), RngStream(4, 0))
+        tree = grow_arrays(X, Y, None, TreeConfig(k=3, n_min=2), RngStream(4, 0))
         internal = tree.feature >= 0
         assert (tree.impurity_reduction[internal] > 0).all()
 
     def test_dimension_mismatch_raises(self):
-        ds = toy_dataset()
         phi = generate(ProjectionSpec("gaussian", 2), 5, RngStream(0, 0))
         with pytest.raises(ValueError):
-            grow(ds, phi, TreeConfig(k=1), RngStream(0, 0))
+            grow_arrays(TOY_X, TOY_Z, phi, TreeConfig(k=1), RngStream(0, 0))
 
     def test_k_larger_than_p_raises(self):
         with pytest.raises(ValueError):
-            grow(toy_dataset(), None, TreeConfig(k=2), RngStream(0, 0))
+            grow_arrays(TOY_X, TOY_Z, None, TreeConfig(k=2), RngStream(0, 0))
 
     def test_sparse_inputs_match_dense(self):
         gen = np.random.default_rng(9)
@@ -403,8 +392,8 @@ class TestGrow:
         for splitter in ("exhaustive", "random_threshold"):
             for bootstrap in (False, True):
                 cfg = TreeConfig(k=3, n_min=3, splitter=splitter, bootstrap=bootstrap)
-                a = grow(DataSet(X, Y), None, cfg, RngStream(5, 0))
-                b = grow(DataSet(sp.csr_matrix(X), Y), None, cfg, RngStream(5, 0))
+                a = grow_arrays(X, Y, None, cfg, RngStream(5, 0))
+                b = grow_arrays(sp.csr_matrix(X), Y, None, cfg, RngStream(5, 0))
                 assert trees_equal(a, b)
 
     @pytest.mark.parametrize("splitter", ["exhaustive", "random_threshold"])
@@ -445,19 +434,18 @@ class TestGrow:
 
 class TestPredict:
     def test_routing_traced_by_hand(self):
-        tree = grow(toy_dataset(), None, TreeConfig(k=1, n_min=2), RngStream(0, 0))
-        np.testing.assert_array_equal(tree.predict_one([0.2]), [1.0, 0.0])
-        np.testing.assert_array_equal(tree.predict_one([10.4]), [0.0, 1.0])
+        tree = grow_arrays(TOY_X, TOY_Z, None, TreeConfig(k=1, n_min=2), RngStream(0, 0))
+        np.testing.assert_array_equal(tree.predict([[0.2], [10.4]]), [[1.0, 0.0], [0.0, 1.0]])
 
     def test_boundary_routes_left(self):
-        tree = grow(toy_dataset(), None, TreeConfig(k=1, n_min=2), RngStream(0, 0))
+        tree = grow_arrays(TOY_X, TOY_Z, None, TreeConfig(k=1, n_min=2), RngStream(0, 0))
         assert tree.threshold[0] == 5.5
-        np.testing.assert_array_equal(tree.predict_one([5.5]), [1.0, 0.0])
+        np.testing.assert_array_equal(tree.predict([[5.5]]), [[1.0, 0.0]])
 
     def test_feature_count_mismatch(self):
-        tree = grow(toy_dataset(), None, TreeConfig(k=1, n_min=2), RngStream(0, 0))
+        tree = grow_arrays(TOY_X, TOY_Z, None, TreeConfig(k=1, n_min=2), RngStream(0, 0))
         with pytest.raises(ValueError):
-            tree.predict_one([1.0, 2.0])
+            tree.apply(np.zeros((3, 2)))
         with pytest.raises(ValueError):
             tree.predict(np.zeros((3, 2)))
 
@@ -465,10 +453,10 @@ class TestPredict:
         gen = np.random.default_rng(11)
         X = gen.random((50, 4))
         Y = sp.csr_matrix((gen.random((50, 6)) < 0.3).astype(float))
-        tree = grow(DataSet(X, Y), None, TreeConfig(k=2, n_min=3), RngStream(7, 0))
+        tree = grow_arrays(X, Y, None, TreeConfig(k=2, n_min=3), RngStream(7, 0))
         Xp = gen.random((30, 4))
         batch = tree.predict(Xp)
-        single = np.vstack([tree.predict_one(x) for x in Xp])
+        single = np.vstack([tree_walk(tree, x) for x in Xp])
         np.testing.assert_array_equal(batch, single)
 
     def test_sparse_prediction_matches_dense(self):
@@ -476,7 +464,7 @@ class TestPredict:
         X = gen.random((40, 5))
         X[X < 0.6] = 0.0
         Y = sp.csr_matrix((gen.random((40, 4)) < 0.4).astype(float))
-        tree = grow(DataSet(X, Y), None, TreeConfig(k=2, n_min=3), RngStream(8, 0))
+        tree = grow_arrays(X, Y, None, TreeConfig(k=2, n_min=3), RngStream(8, 0))
         np.testing.assert_array_equal(
             tree.predict(sp.csr_matrix(X)), tree.predict(X)
         )
@@ -494,7 +482,7 @@ class TestVarianceTransferInTrees:
         rep = distortion_check(phi, Y, eps)
         assert rep.violations == 0  # premise holds for this frozen seed
 
-        tree = grow(DataSet(X, Y), phi, TreeConfig(k=3, n_min=6), RngStream(70, 2))
+        tree = grow_arrays(X, Y, phi, TreeConfig(k=3, n_min=6), RngStream(70, 2))
         members = node_memberships(tree, X)
         Yd = to_dense(Y)
         Z = project(phi, Y)
@@ -530,9 +518,9 @@ class TestPermutationCovariance:
             # phi_perm acts on permuted labels exactly as phi does on originals
             phi_perm = type(phi)(phi.kind, sp.csr_matrix(phi.toarray()[:, perm]))
             cfg = TreeConfig(k=2, n_min=4)
-            base = grow(DataSet(X, sp.csr_matrix(Y)), phi, cfg, RngStream(15, 1))
-            permuted = grow(
-                DataSet(X, sp.csr_matrix(Y[:, perm])), phi_perm, cfg, RngStream(15, 1)
+            base = grow_arrays(X, sp.csr_matrix(Y), phi, cfg, RngStream(15, 1))
+            permuted = grow_arrays(
+                X, sp.csr_matrix(Y[:, perm]), phi_perm, cfg, RngStream(15, 1)
             )
             np.testing.assert_array_equal(
                 permuted.predict(X)[:, np.argsort(perm)], base.predict(X)
@@ -544,7 +532,7 @@ class TestSerialization:
         gen = np.random.default_rng(16)
         X = gen.random((30, 3))
         Y = sp.csr_matrix((gen.random((30, 5)) < 0.4).astype(float))
-        tree = grow(DataSet(X, Y), None, TreeConfig(k=2, n_min=3), RngStream(9, 0))
+        tree = grow_arrays(X, Y, None, TreeConfig(k=2, n_min=3), RngStream(9, 0))
         doc = json.loads(json.dumps(tree.to_dict()))
         back = Tree.from_dict(doc)
         assert trees_equal(tree, back)

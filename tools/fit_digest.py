@@ -24,14 +24,15 @@ included), given dense and as CSR, with both splitters and bootstrap on and
 off.  Binary labels make every leaf sum an exact integer in any order, so
 only this grid shows a change in the order in which leaf sums are added.
 The decomposition lines digest ``estimate_ensemble`` estimates for a shared
-and a per-tree subspace config, as the Monte Carlo harness runs them.  The
-``io`` lines digest the bytes ``dump_svmlight_multilabel`` writes for a
-yeast-shaped set (103 features, 14 labels), plain, gzipped and without a
-header, and the CSR arrays ``load_svmlight_multilabel`` reads back from each
-file and from a hand-written one (CRLF and lone CR newlines, comments, blank
-lines, explicit zeros, unlabeled and label-only rows).  A gzipped file is
-digested decompressed, since its header holds the time of writing.  The
-script takes a few seconds.
+and a per-tree subspace config, as the Monte Carlo harness runs them, and for
+single trees (t=1) with no projection and with an identity map, under both
+splitters.  The ``io`` lines digest the bytes ``dump_svmlight_multilabel``
+writes for a yeast-shaped set (103 features, 14 labels), plain, gzipped and
+without a header, and the CSR arrays ``load_svmlight_multilabel`` reads back
+from each file and from a hand-written one (CRLF and lone CR newlines,
+comments, blank lines, explicit zeros, unlabeled and label-only rows).  A
+gzipped file is digested decompressed, since its header holds the time of
+writing.  The script takes a few seconds.
 """
 
 import gzip
@@ -143,8 +144,18 @@ def real_outputs(X, d, seed):
     return Y
 
 
+def report_digest(report):
+    """SHA-256 over the estimates and standard errors of every term."""
+    h = hashlib.sha256()
+    for term in TERMS:
+        h.update(report.estimates[term].tobytes())
+        h.update(report.se[term].tobytes())
+    return h.hexdigest()
+
+
 def run_decomposition():
-    """One digest of the estimates per ensemble policy."""
+    """One digest of the estimates per ensemble policy, then single-tree
+    estimates with no projection and with an identity map, per splitter."""
     problem = two_feature_problem(n_train=60, noise_sd=0.1)
     for policy in ("shared_subspace", "per_tree_subspace"):
         cfg = EnsembleConfig(
@@ -154,11 +165,19 @@ def run_decomposition():
             policy=policy,
         )
         report = estimate_ensemble(problem, cfg, n_ls=3, n_phi=3, n_eps=3, seed=23)
-        h = hashlib.sha256()
-        for term in TERMS:
-            h.update(report.estimates[term].tobytes())
-            h.update(report.se[term].tobytes())
-        print("decomposition", policy, h.hexdigest())
+        print("decomposition", policy, report_digest(report))
+    for (policy, kind), splitter in itertools.product(
+        (("no_projection", None), ("per_tree_subspace", "identity")),
+        ("exhaustive", "random_threshold"),
+    ):
+        cfg = EnsembleConfig(
+            t=1,
+            tree=TreeConfig(k=2, n_min=10, splitter=splitter),
+            projection=None if kind is None else ProjectionSpec(kind, 2),
+            policy=policy,
+        )
+        report = estimate_ensemble(problem, cfg, n_ls=3, n_phi=3, n_eps=3, seed=29)
+        print("decomposition t=1", policy, kind, splitter, report_digest(report))
 
 
 HANDWRITTEN = (
