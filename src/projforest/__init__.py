@@ -25,7 +25,6 @@ from .tree import (
     best_split_exhaustive,
     best_split_random_threshold,
     grow_arrays,
-    trees_equal,
     variance_sum,
 )
 from .ensemble import Ensemble, EnsembleConfig, FitTiming, fit, fit_timed
@@ -41,7 +40,6 @@ from .decomposition import (
     DecompositionReport,
     SyntheticProblem,
     VarianceCurve,
-    deterministic_grid_problem,
     ensemble_variance_curve,
     estimate_ensemble,
     two_feature_problem,
@@ -79,7 +77,6 @@ __all__ = [
     "as_label_matrix",
     "best_split_exhaustive",
     "best_split_random_threshold",
-    "deterministic_grid_problem",
     "distortion_check",
     "dump_svmlight_multilabel",
     "ensemble_variance_curve",
@@ -100,7 +97,6 @@ __all__ = [
     "run_grid",
     "summarize",
     "to_dense",
-    "trees_equal",
     "two_feature_problem",
     "variance_sum",
     "write_grid_csv",

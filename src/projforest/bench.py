@@ -207,14 +207,50 @@ def make_ensemble_config(point, d, p, master_seed):
     projection = (
         None if policy == "no_projection" else ProjectionSpec(point["kind"], m, s)
     )
-    cfg = EnsembleConfig(
-        t=int(point["t"]),
-        tree=tree,
-        projection=projection,
-        policy=policy,
-        master_seed=master_seed,
-    )
+    cfg = EnsembleConfig(t=int(point["t"]), tree=tree, projection=projection,
+                         policy=policy, master_seed=master_seed)
     return cfg, m, k, s
+
+
+def load_logged(path):
+    """Load an svmlight dataset and log its shape and load time."""
+    tic = time.perf_counter()
+    ds = load_svmlight_multilabel(path)
+    logger.info(
+        "loaded %s (n=%d, p=%d, d=%d) in %.3f s",
+        path, ds.n_samples, ds.n_features, ds.n_labels,
+        time.perf_counter() - tic,
+    )
+    return ds
+
+
+def first_split(ds, plan):
+    """The (train, test) views of grid repeat 0, or all rows and no test view
+    when the plan is a holdout or shuffled plan without a train size."""
+    if plan.mode != "kfold" and plan.n_train is None:
+        return ds, None
+    return make_splits(ds, plan)[0]
+
+
+def fit_point(point, train, test, master_seed):
+    """Fit one symbolic grid point on the ``train`` view and time the fit;
+    given a ``test`` view, also score it.  Returns the ensemble and the
+    point's row: its axis values, resolved sizes and timing columns, plus
+    ``lrap`` and ``retained`` (the test rows scored) with a test view.
+    Errors propagate to the caller."""
+    ens_cfg, m, k, s = make_ensemble_config(
+        point, train.n_labels, train.n_features, master_seed
+    )
+    tic = time.perf_counter()
+    ensemble, timing = fit_timed(train, ens_cfg)
+    row = dict(point, m_resolved=m, k_resolved=k, s_resolved=s,
+               fit_seconds=time.perf_counter() - tic,
+               project_seconds=timing.generate_project_seconds)
+    if test is not None:
+        row["lrap"], row["retained"] = lrap(
+            ensemble.predict(test.X_rows()), test.Y_rows(), return_retained=True
+        )
+    return ensemble, row
 
 
 def run_grid(cfg, ds=None):
@@ -224,16 +260,8 @@ def run_grid(cfg, ds=None):
     except the two wall-clock columns is deterministic under the seed.
     """
     if ds is None:
-        tic = time.perf_counter()
-        ds = load_svmlight_multilabel(cfg.data)
-        logger.info(
-            "loaded %s (n=%d, p=%d, d=%d) in %.3f s",
-            cfg.data, ds.n_samples, ds.n_features, ds.n_labels,
-            time.perf_counter() - tic,
-        )
+        ds = load_logged(cfg.data)
     splits = make_splits(ds, cfg.plan)
-    d = ds.n_labels
-    p = ds.n_features
     rows = []
     axes = [cfg.grid[axis] for axis in GRID_AXES]
     for values in itertools.product(*axes):
@@ -242,23 +270,10 @@ def run_grid(cfg, ds=None):
             for split_id, (train, test) in enumerate(splits):
                 for fit_id in range(cfg.fit_repeats):
                     repeat = split_id * cfg.fit_repeats + fit_id
-                    master_seed = cfg.seed * 1_000_003 + repeat
-                    ens_cfg, m, k, s = make_ensemble_config(point, d, p, master_seed)
-                    tic = time.perf_counter()
-                    ensemble, timing = fit_timed(train, ens_cfg)
-                    fit_seconds = time.perf_counter() - tic
-                    scores = ensemble.predict(test.X_rows())
-                    value = lrap(scores, test.Y_rows())
-                    row = dict(point)
-                    row.update(
-                        m_resolved=m,
-                        k_resolved=k,
-                        s_resolved=s,
-                        repeat=repeat,
-                        lrap=value,
-                        fit_seconds=fit_seconds,
-                        project_seconds=timing.generate_project_seconds,
+                    _, row = fit_point(
+                        point, train, test, cfg.seed * 1_000_003 + repeat
                     )
+                    row["repeat"] = repeat
                     rows.append(row)
         except Exception as exc:  # noqa: BLE001 - abort point, keep the run
             logger.warning("grid point %r aborted: %s", point, exc)
@@ -282,17 +297,13 @@ def write_grid_csv(rows, path):
 
 
 def read_grid_csv(path):
-    rows = []
     with open(path, newline="") as fh:
-        lines = [line for line in fh if not line.startswith("#")]
-    reader = csv.DictReader(lines)
-    for row in reader:
-        rows.append(row)
-    return rows
+        return list(csv.DictReader(line for line in fh if not line.startswith("#")))
 
 
-def summarize(rows, baseline=None, metric="lrap"):
-    """Group rows by grid point; report mean, std and a deviation flag.
+def summarize(rows, baseline=None):
+    """Group rows by grid point; report the mean and std of ``lrap`` and a
+    deviation flag.
 
     ``baseline`` names one grid point by a subset of axis values (for example
     ``{"policy": "no_projection"}``); any group whose mean deviates from the
@@ -305,7 +316,7 @@ def summarize(rows, baseline=None, metric="lrap"):
     groups = {}
     for row in rows:
         key = tuple(str(row[a]) for a in GRID_AXES)
-        groups.setdefault(key, []).append(float(row[metric]))
+        groups.setdefault(key, []).append(float(row["lrap"]))
 
     def moments(values):
         n = len(values)

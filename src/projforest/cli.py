@@ -8,19 +8,23 @@ Subcommands::
     projforest decompose [--config counts.cfg] [--seed N] --out report.csv
 
 ``fit`` and ``grid`` read the flat key/value config grammar documented in the
-README; ``summarize`` consumes the CSV written by ``grid``.  Exit status is 0
-on success and 1 with a diagnostic on stderr otherwise.
+README; ``summarize`` consumes the CSV written by ``grid``.  Every experiment
+step (config to ensemble, split, fit, score) is :mod:`projforest.bench`'s;
+this module parses arguments, prints and saves.  Exit status is 0 on success
+and 1 with a diagnostic on stderr otherwise.
 """
 
 import argparse
 import logging
 import sys
-import time
 
 from .bench import (
-    _parse_bool,
+    GRID_AXES,
     _scalar,
     experiment_from_config,
+    first_split,
+    fit_point,
+    load_logged,
     make_ensemble_config,
     parse_config_text,
     read_grid_csv,
@@ -29,12 +33,7 @@ from .bench import (
     write_grid_csv,
     write_summary_csv,
 )
-from .datasets import load_svmlight_multilabel, make_splits
 from .decomposition import estimate_ensemble, two_feature_problem
-from .ensemble import EnsembleConfig, fit_timed
-from .metrics import lrap
-from .projection import ProjectionSpec
-from .tree import TreeConfig
 
 
 def _read_text(path):
@@ -45,43 +44,17 @@ def _read_text(path):
 def _cmd_fit(args):
     text = _read_text(args.config) if args.config else "split = fixed_holdout"
     cfg = experiment_from_config(text, data=args.data, seed=args.seed)
-    for axis, values in cfg.grid.items():
-        if len(values) != 1:
-            raise ValueError(
-                "fit needs a scalar config; axis {!r} has {} values".format(
-                    axis, len(values)
-                )
-            )
-    tic = time.perf_counter()
-    ds = load_svmlight_multilabel(cfg.data)
-    print("loaded {} (n={}, p={}, d={}) in {:.3f}s".format(
-        cfg.data, ds.n_samples, ds.n_features, ds.n_labels,
-        time.perf_counter() - tic,
-    ))
+    listed = [axis for axis, values in cfg.grid.items() if len(values) != 1]
+    if listed:
+        raise ValueError("fit needs a scalar config; axes with several values: "
+                         + ", ".join(listed))
     point = {axis: values[0] for axis, values in cfg.grid.items()}
-    ens_cfg, m, k, _ = make_ensemble_config(
-        point, ds.n_labels, ds.n_features, cfg.seed * 1_000_003
-    )
-    if cfg.plan.n_train is not None:
-        train, test = make_splits(ds, cfg.plan)[0]
-    else:
-        train, test = ds, None
-    ensemble, timing = fit_timed(train, ens_cfg)
-    print(
-        "fitted t={} policy={} m={} k={} in {:.3f}s (projection {:.3f}s)".format(
-            ens_cfg.t,
-            ens_cfg.policy,
-            m,
-            k,
-            timing.generate_project_seconds + timing.grow_seconds,
-            timing.generate_project_seconds,
-        )
-    )
+    train, test = first_split(load_logged(cfg.data), cfg.plan)
+    ensemble, row = fit_point(point, train, test, cfg.seed * 1_000_003)
+    print("fitted t={t} policy={policy} m={m_resolved} k={k_resolved} in "
+          "{fit_seconds:.3f}s (projection {project_seconds:.3f}s)".format(**row))
     if test is not None:
-        value, retained = lrap(
-            ensemble.predict(test.X_rows()), test.Y_rows(), return_retained=True
-        )
-        print("test lrap = {:.4f} over {} samples".format(value, retained))
+        print("test lrap = {lrap:.4f} over {retained} samples".format(**row))
     if args.out:
         ensemble.save(args.out)
         print("model written to {}".format(args.out))
@@ -148,19 +121,8 @@ def _cmd_decompose(args):
     problem = two_feature_problem(
         n_train=int(get("n_train")), noise_sd=float(get("noise_sd"))
     )
-    tree = TreeConfig(
-        k=int(get("k")),
-        n_min=int(get("n_min")),
-        splitter=get("splitter"),
-        bootstrap=_parse_bool(get("bootstrap")),
-    )
-    policy = get("policy")
-    projection = (
-        None
-        if policy == "no_projection"
-        else ProjectionSpec(get("kind"), int(get("m")))
-    )
-    cfg = EnsembleConfig(t=int(get("t")), tree=tree, projection=projection, policy=policy)
+    point = {axis: "1" if axis == "s" else get(axis) for axis in GRID_AXES}
+    cfg = make_ensemble_config(point, problem.n_outputs, problem.n_features, 0)[0]
     report = estimate_ensemble(
         problem,
         cfg,

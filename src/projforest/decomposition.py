@@ -86,38 +86,6 @@ def two_feature_problem(n_train=100, noise_sd=0.1, n_probes=5):
     )
 
 
-def deterministic_grid_problem(repeats=4):
-    """Noise-free outputs on a fully enumerated 2x2 input grid.
-
-    Every learning sample covers the whole grid, so with a deterministic
-    fitter every term of the decomposition is exactly zero.
-    """
-    grid = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
-
-    def sample_inputs(gen, n):
-        return np.tile(grid, (repeats, 1))
-
-    def conditional_mean(X):
-        return np.column_stack([0.5 * (X[:, 0] + X[:, 1]), X[:, 0] * X[:, 1]])
-
-    def sample_outputs(gen, mean):
-        return mean.copy()
-
-    def residual_variance(X):
-        return np.zeros(X.shape[0])
-
-    return SyntheticProblem(
-        n_train=4 * repeats,
-        n_features=2,
-        n_outputs=2,
-        sample_inputs=sample_inputs,
-        conditional_mean=conditional_mean,
-        sample_outputs=sample_outputs,
-        residual_variance=residual_variance,
-        probes=grid.copy(),
-    )
-
-
 @dataclass
 class DecompositionReport:
     """Per-probe estimates, standard errors, and probe-averaged summaries."""
@@ -149,7 +117,7 @@ class DecompositionReport:
                 )
 
 
-def _collect_predictions(problem, predictor, n_ls, n_phi, n_eps, seed):
+def _collect_predictions(problem, cfg, n_ls, n_phi, n_eps, seed):
     """Prediction tensor P[ls, phi, eps, probe, output] plus draw seeds."""
     if min(n_ls, n_phi, n_eps) < 2:
         raise ValueError("all repetition counts must be >= 2")
@@ -166,9 +134,10 @@ def _collect_predictions(problem, predictor, n_ls, n_phi, n_eps, seed):
         X, Y = problem.draw_learning_sample(ls_gen)
         for j in range(n_phi):
             for l in range(n_eps):
-                P[i, j, l] = predictor(
-                    X, Y, int(phi_seeds[i, j]), int(eps_seeds[i, j, l])
+                ens, _ = _fit_arrays(
+                    X, Y, cfg, int(phi_seeds[i, j]), int(eps_seeds[i, j, l])
                 )
+                P[i, j, l] = ens.predict(problem.probes)
     return P, master
 
 
@@ -246,12 +215,7 @@ def estimate_ensemble(problem, cfg, n_ls=30, n_phi=20, n_eps=20, seed=0):
     measures the full projection variance while the per-tree policy shows it
     suppressed by 1/t.
     """
-
-    def predictor(X, Y, phi_seed, eps_seed):
-        ens, _ = _fit_arrays(X, Y, cfg, phi_seed, eps_seed)
-        return ens.predict(problem.probes)
-
-    P, master = _collect_predictions(problem, predictor, n_ls, n_phi, n_eps, seed)
+    P, master = _collect_predictions(problem, cfg, n_ls, n_phi, n_eps, seed)
     return _report_from_predictions(problem, P, master)
 
 

@@ -164,13 +164,7 @@ def project(phi, Y):
             "Y has {} columns but projection expects {}".format(Y.shape[1], phi.d)
         )
     check_finite_labels(Y)
-    mat = phi.matrix
-    if sp.issparse(Y):
-        out = Y @ mat.T
-        return to_dense(out)
-    if sp.issparse(mat):
-        return to_dense(Y @ mat.T)
-    return Y @ mat.T
+    return to_dense(Y @ phi.matrix.T)
 
 
 def jl_min_dimension(epsilon, n):

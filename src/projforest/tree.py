@@ -211,13 +211,13 @@ def best_split_random_threshold(X, Z, samples, features, rng):
 class Tree:
     """Array-encoded binary tree with leaf vectors in the original label space.
 
-    Internal nodes store (feature, threshold, impurity_reduction, children);
+    Internal nodes store (feature, threshold, children);
     leaves index into ``leaf_values`` (leaf_count x d) and ``leaf_counts``.
     Routing sends a sample left iff its feature value is <= the threshold.
     """
 
     FORMAT = "projforest-tree"
-    VERSION = 1
+    VERSION = 2
 
     def __init__(
         self,
@@ -225,7 +225,6 @@ class Tree:
         threshold,
         children_left,
         children_right,
-        impurity_reduction,
         leaf_id,
         leaf_values,
         leaf_counts,
@@ -235,7 +234,6 @@ class Tree:
         self.threshold = threshold
         self.children_left = children_left
         self.children_right = children_right
-        self.impurity_reduction = impurity_reduction
         self.leaf_id = leaf_id
         self.leaf_values = leaf_values
         self.leaf_counts = leaf_counts
@@ -304,7 +302,6 @@ class Tree:
             "threshold": self.threshold.tolist(),
             "children_left": self.children_left.tolist(),
             "children_right": self.children_right.tolist(),
-            "impurity_reduction": self.impurity_reduction.tolist(),
             "leaf_id": self.leaf_id.tolist(),
             "leaf_values": self.leaf_values.tolist(),
             "leaf_counts": self.leaf_counts.tolist(),
@@ -323,7 +320,6 @@ class Tree:
             threshold=np.asarray(doc["threshold"], dtype=np.float64),
             children_left=np.asarray(doc["children_left"], dtype=np.int64),
             children_right=np.asarray(doc["children_right"], dtype=np.int64),
-            impurity_reduction=np.asarray(doc["impurity_reduction"], dtype=np.float64),
             leaf_id=np.asarray(doc["leaf_id"], dtype=np.int64),
             leaf_values=np.asarray(doc["leaf_values"], dtype=np.float64).reshape(
                 len(doc["leaf_counts"]), -1
@@ -339,7 +335,7 @@ class Tree:
         always ends at a leaf and every leaf has its own ``leaf_values`` row."""
         n = self.n_nodes
         per_node = (self.threshold, self.children_left, self.children_right,
-                    self.impurity_reduction, self.leaf_id)
+                    self.leaf_id)
         if any(a.shape != (n,) for a in per_node):
             raise ValueError("tree document: node arrays differ in length")
         split = self.feature >= 0
@@ -355,21 +351,6 @@ class Tree:
         if not np.array_equal(np.sort(self.leaf_id[~split]), np.arange(self.n_leaves)):
             raise ValueError("tree document: leaf_id is not one-to-one onto "
                              "the leaf_values rows")
-
-
-def trees_equal(a, b):
-    """Exact structural and numerical equality of two trees."""
-    return (
-        a.n_features == b.n_features
-        and np.array_equal(a.feature, b.feature)
-        and np.array_equal(a.threshold, b.threshold)
-        and np.array_equal(a.children_left, b.children_left)
-        and np.array_equal(a.children_right, b.children_right)
-        and np.array_equal(a.impurity_reduction, b.impurity_reduction)
-        and np.array_equal(a.leaf_id, b.leaf_id)
-        and np.array_equal(a.leaf_values, b.leaf_values)
-        and np.array_equal(a.leaf_counts, b.leaf_counts)
-    )
 
 
 def _leaf_sums(Y, leaf_of_row, multiplicity, n_leaves):
@@ -453,7 +434,6 @@ def grow_arrays(X, Y, phi, cfg, rng, Z=None):
     threshold = np.zeros(size)
     children_left = np.full(size, -1, dtype=np.int64)
     children_right = np.full(size, -1, dtype=np.int64)
-    gains = np.zeros(size)
     leaf_of = np.full(size, -1, dtype=np.int64)
     counts = np.empty(n_t, dtype=np.int64)
     leaf_of_row = np.empty(n, dtype=np.int64)
@@ -488,7 +468,6 @@ def grow_arrays(X, Y, phi, cfg, rng, Z=None):
         rec, left_samples, right_samples = found
         feature[node] = rec.feature
         threshold[node] = rec.threshold
-        gains[node] = rec.impurity_reduction
         children_left[node] = n_nodes
         children_right[node] = n_nodes + 1
         stack.append((right_samples, n_nodes + 1))
@@ -501,7 +480,6 @@ def grow_arrays(X, Y, phi, cfg, rng, Z=None):
         threshold=threshold[:n_nodes].copy(),
         children_left=children_left[:n_nodes].copy(),
         children_right=children_right[:n_nodes].copy(),
-        impurity_reduction=gains[:n_nodes].copy(),
         leaf_id=leaf_of[:n_nodes].copy(),
         leaf_values=_leaf_sums(Y, leaf_of_row, np.bincount(rows, minlength=n),
                                n_leaves) / counts[:, None],

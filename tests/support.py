@@ -6,7 +6,7 @@ import re
 import numpy as np
 import scipy.sparse as sp
 
-from projforest import DataSet, to_dense
+from projforest import DataSet, SyntheticProblem, to_dense
 from projforest.tree import variance_sum
 
 
@@ -95,6 +95,20 @@ def node_memberships(tree, X):
                 node = tree.children_right[node]
             members[node].append(row)
     return {k: np.asarray(v) for k, v in members.items()}
+
+
+def trees_equal(a, b):
+    """Exact structural and numerical equality of two trees."""
+    return (
+        a.n_features == b.n_features
+        and np.array_equal(a.feature, b.feature)
+        and np.array_equal(a.threshold, b.threshold)
+        and np.array_equal(a.children_left, b.children_left)
+        and np.array_equal(a.children_right, b.children_right)
+        and np.array_equal(a.leaf_id, b.leaf_id)
+        and np.array_equal(a.leaf_values, b.leaf_values)
+        and np.array_equal(a.leaf_counts, b.leaf_counts)
+    )
 
 
 def tree_walk(tree, x):
@@ -331,3 +345,35 @@ def assert_same_dataset(a, b):
             x, y = getattr(A, name), getattr(B, name)
             assert x.dtype == y.dtype, name
             assert x.tobytes() == y.tobytes(), name
+
+
+def deterministic_grid_problem(repeats=4):
+    """Noise-free outputs on a fully enumerated 2x2 input grid.
+
+    Every learning sample covers the whole grid, so with a deterministic
+    fitter every term of the decomposition is exactly zero.
+    """
+    grid = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
+
+    def sample_inputs(gen, n):
+        return np.tile(grid, (repeats, 1))
+
+    def conditional_mean(X):
+        return np.column_stack([0.5 * (X[:, 0] + X[:, 1]), X[:, 0] * X[:, 1]])
+
+    def sample_outputs(gen, mean):
+        return mean.copy()
+
+    def residual_variance(X):
+        return np.zeros(X.shape[0])
+
+    return SyntheticProblem(
+        n_train=4 * repeats,
+        n_features=2,
+        n_outputs=2,
+        sample_inputs=sample_inputs,
+        conditional_mean=conditional_mean,
+        sample_outputs=sample_outputs,
+        residual_variance=residual_variance,
+        probes=grid.copy(),
+    )

@@ -33,7 +33,6 @@ from projforest import (
     make_synthetic_multilabel,
     project,
     run_grid,
-    trees_equal,
     two_feature_problem,
     variance_sum,
     write_grid_csv,
@@ -41,7 +40,12 @@ from projforest import (
 from projforest.bench import CSV_COLUMNS, TIMING_COLUMNS
 from projforest.tree import grow_arrays
 
-from support import lrap_oracle, pattern_label_matrix, variance_sum_pairwise
+from support import (
+    lrap_oracle,
+    pattern_label_matrix,
+    trees_equal,
+    variance_sum_pairwise,
+)
 
 
 def _verdict(number, name, ok, detail=""):

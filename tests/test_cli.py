@@ -2,10 +2,15 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from projforest import (
     Ensemble,
     dump_svmlight_multilabel,
+    experiment_from_config,
+    load_svmlight_multilabel,
+    lrap,
+    make_splits,
     make_synthetic_multilabel,
     read_grid_csv,
 )
@@ -33,6 +38,14 @@ FIT_CFG = """
 split = fixed_holdout
 train_size = 40
 test_size = 20
+m = 2
+t = 3
+"""
+
+
+KFOLD_CFG = """
+split = kfold
+folds = 3
 m = 2
 t = 3
 """
@@ -71,6 +84,45 @@ class TestFitCommand:
         assert "test lrap" in captured
         loaded = Ensemble.load(model)
         assert loaded.t == 3
+
+    def test_kfold_plan_scores_fold_zero(self, tmp_path, capsys):
+        data = write_dataset(tmp_path)
+        cfg = tmp_path / "fit.cfg"
+        cfg.write_text(KFOLD_CFG)
+        rows_path = tmp_path / "rows.csv"
+        assert main(["fit", "--data", str(data), "--config", str(cfg),
+                     "--seed", "2"]) == 0
+        printed = capsys.readouterr().out
+        assert main(["grid", "--data", str(data), "--config", str(cfg),
+                     "--seed", "2", "--out", str(rows_path)]) == 0
+        row = read_grid_csv(rows_path)[0]
+        assert "test lrap = {:.4f} over".format(float(row["lrap"])) in printed
+
+    def test_holdout_without_train_size_fits_every_row(self, tmp_path, capsys):
+        data = write_dataset(tmp_path)
+        cfg = tmp_path / "fit.cfg"
+        cfg.write_text("split = fixed_holdout\nm = 1\nt = 2\n")
+        model = tmp_path / "model.json"
+        assert main(["fit", "--data", str(data), "--config", str(cfg),
+                     "--out", str(model)]) == 0
+        assert "test lrap" not in capsys.readouterr().out
+        assert [tree.leaf_counts.sum() for tree in Ensemble.load(model).trees] == [60, 60]
+
+    @pytest.mark.parametrize("text", [FIT_CFG, KFOLD_CFG], ids=["holdout", "kfold"])
+    def test_saved_model_scores_like_grid_row_zero(self, tmp_path, capsys, text):
+        data = write_dataset(tmp_path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        model = tmp_path / "model.json"
+        rows_path = tmp_path / "rows.csv"
+        assert main(["fit", "--data", str(data), "--config", str(cfg),
+                     "--seed", "4", "--out", str(model)]) == 0
+        assert main(["grid", "--data", str(data), "--config", str(cfg),
+                     "--seed", "4", "--out", str(rows_path)]) == 0
+        plan = experiment_from_config(text, data=str(data)).plan
+        _, test = make_splits(load_svmlight_multilabel(data), plan)[0]
+        value = lrap(Ensemble.load(model).predict(test.X_rows()), test.Y_rows())
+        assert value == float(read_grid_csv(rows_path)[0]["lrap"])
 
     def test_fit_rejects_grid_config(self, tmp_path, capsys):
         data = write_dataset(tmp_path)

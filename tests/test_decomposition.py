@@ -5,12 +5,13 @@ from projforest import (
     EnsembleConfig,
     ProjectionSpec,
     TreeConfig,
-    deterministic_grid_problem,
     ensemble_variance_curve,
     estimate_ensemble,
     two_feature_problem,
 )
 from projforest.decomposition import TERMS
+
+from support import deterministic_grid_problem
 
 ET = dict(splitter="random_threshold", bootstrap=False)
 

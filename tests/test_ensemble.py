@@ -22,11 +22,10 @@ from projforest import (
     make_synthetic_multilabel,
     pca_projection,
     to_dense,
-    trees_equal,
 )
 from projforest.ensemble import _fit_arrays
 
-from support import tree_walk
+from support import tree_walk, trees_equal
 
 
 def small_data(seed=0, n=60, p=4, d=8):

@@ -19,7 +19,6 @@ from projforest import (
     jl_min_dimension,
     project,
     to_dense,
-    trees_equal,
     variance_sum,
 )
 from projforest import tree as tree_module
@@ -32,6 +31,7 @@ from support import (
     node_memberships,
     pattern_label_matrix,
     tree_walk,
+    trees_equal,
     variance_sum_pairwise,
 )
 
@@ -372,8 +372,20 @@ class TestGrow:
         X = gen.random((80, 5))
         Y = sp.csr_matrix((gen.random((80, 8)) < 0.3).astype(float))
         tree = grow_arrays(X, Y, None, TreeConfig(k=3, n_min=2), RngStream(4, 0))
-        internal = tree.feature >= 0
-        assert (tree.impurity_reduction[internal] > 0).all()
+        # No bootstrap, so every node holds the training rows routed to it.
+        members = node_memberships(tree, X)
+        Yd = to_dense(Y)
+        internal = np.flatnonzero(tree.feature >= 0)
+        assert internal.size > 0
+        for node in internal:
+            rows = members[node]
+            left = members[tree.children_left[node]]
+            right = members[tree.children_right[node]]
+            gain = variance_sum(Yd[rows]) - (
+                left.size * variance_sum(Yd[left])
+                + right.size * variance_sum(Yd[right])
+            ) / rows.size
+            assert gain > 0
 
     def test_dimension_mismatch_raises(self):
         phi = generate(ProjectionSpec("gaussian", 2), 5, RngStream(0, 0))
@@ -500,7 +512,10 @@ class TestVarianceTransferInTrees:
                     left.size / q * variance_sum(Yd[left])
                     + right.size / q * variance_sum(Yd[right])
                 )
-                gain_proj = tree.impurity_reduction[node]
+                gain_proj = vp - (
+                    left.size / q * variance_sum(Z[left])
+                    + right.size / q * variance_sum(Z[right])
+                )
                 lo = (1 - eps) * vo - (1 + eps) * child_orig
                 hi = (1 + eps) * vo - (1 - eps) * child_orig
                 assert lo - tol <= gain_proj <= hi + tol

@@ -1,8 +1,9 @@
 """Print one SHA-256 digest per fit over a fixed grid of configurations.
 
-Each digest covers every tree of the fitted ensemble (its serialized arrays)
-and the ensemble's predictions on a held-out batch given both dense and as
-CSR.  Running the script against two source trees and diffing the output
+Each digest covers every tree of the fitted ensemble (the arrays that
+routing and prediction read: ``feature``, ``threshold``, both children
+arrays, ``leaf_id``, ``leaf_values``, ``leaf_counts`` and ``n_features``) and
+the ensemble's predictions on a held-out batch given both dense and as CSR.  Running the script against two source trees and diffing the output
 shows whether a change keeps fits and predictions bit-identical:
 
     PYTHONPATH=src python tools/fit_digest.py > new.txt
@@ -32,13 +33,17 @@ without a header, and the CSR arrays ``load_svmlight_multilabel`` reads back
 from each file and from a hand-written one (CRLF and lone CR newlines,
 comments, blank lines, explicit zeros, unlabeled and label-only rows).  A
 gzipped file is digested decompressed, since its header holds the time of
-writing.  The script takes a few seconds.
+writing.  The ``cli`` lines run the command line on a written file: the trees
+``projforest fit`` saves for a holdout config, the non-timing columns of a
+2-point ``projforest grid`` and a small ``projforest decompose`` report.  The
+script takes a few seconds.
 """
 
+import contextlib
 import gzip
 import hashlib
+import io
 import itertools
-import json
 import os
 import tempfile
 
@@ -47,6 +52,7 @@ import scipy.sparse as sp
 
 from projforest import (
     DataSet,
+    Ensemble,
     EnsembleConfig,
     ProjectionSpec,
     TreeConfig,
@@ -57,6 +63,8 @@ from projforest import (
     make_synthetic_multilabel,
     two_feature_problem,
 )
+from projforest.bench import CSV_COLUMNS, TIMING_COLUMNS
+from projforest.cli import main as cli_main
 from projforest.decomposition import TERMS
 from projforest.ensemble import _fit_arrays
 
@@ -84,12 +92,20 @@ def sparse_features(n, p, d, seed):
     return X, ds.Y
 
 
+TREE_ARRAYS = ("feature", "threshold", "children_left", "children_right",
+               "leaf_id", "leaf_values", "leaf_counts")
+
+
 def digest(ensemble, query):
-    """SHA-256 over every tree's arrays and the predictions on ``query``
-    given dense and as CSR."""
+    """SHA-256 over every tree's routing and leaf arrays and the predictions
+    on ``query`` given dense and as CSR."""
     h = hashlib.sha256()
     for tree in ensemble.trees:
-        h.update(json.dumps(tree.to_dict(), sort_keys=True).encode())
+        for name in TREE_ARRAYS:
+            a = getattr(tree, name)
+            h.update(repr((name, a.shape, a.dtype.str)).encode())
+            h.update(a.tobytes())
+        h.update(repr(("n_features", tree.n_features)).encode())
     h.update(ensemble.predict(query).tobytes())
     h.update(ensemble.predict(sp.csr_matrix(query)).tobytes())
     return h.hexdigest()
@@ -220,6 +236,49 @@ def run_io():
         print("io load handwritten.svm", csr_digest(load_svmlight_multilabel(path)))
 
 
+CLI_FIT = "split = fixed_holdout\ntrain_size = 150\ntest_size = 50\nm = 3\nt = 4\nk = 4\n"
+CLI_GRID = ("split = shuffled_repeats\ntrain_size = 150\ntest_size = 50\n"
+            "repeats = 2\nm = 1, d\nt = 3\nk = 4\n")
+CLI_DECOMPOSE = "n_ls = 3\nn_phi = 2\nn_eps = 2\nt = 3\nn_min = 20\n"
+
+
+def run_cli(tmp, command, config, *extra):
+    """Run one ``projforest`` command on ``config``, its output discarded."""
+    path = os.path.join(tmp, command + ".cfg")
+    with open(path, "w") as fh:
+        fh.write(config)
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli_main([command, "--config", path, "--seed", "5", *extra])
+    if code != 0:
+        raise RuntimeError("projforest {} failed".format(command))
+
+
+def run_cli_lines():
+    """Digests of what ``fit``, ``grid`` and ``decompose`` write."""
+    ds = make_synthetic_multilabel(260, 12, 10, n_clusters=6, seed=13)
+    with tempfile.TemporaryDirectory() as tmp:
+        data = os.path.join(tmp, "data.svm")
+        dump_svmlight_multilabel(ds, data)
+        model = os.path.join(tmp, "model.json")
+        run_cli(tmp, "fit", CLI_FIT, "--data", data, "--out", model)
+        print("cli fit holdout", digest(Ensemble.load(model), np.asarray(ds.X)[:60]))
+        rows = os.path.join(tmp, "rows.csv")
+        run_cli(tmp, "grid", CLI_GRID, "--data", data, "--out", rows)
+        h = hashlib.sha256()
+        with open(rows) as fh:
+            for line in fh:
+                cells = line.rstrip("\n").split(",")
+                if len(cells) == len(CSV_COLUMNS):
+                    for column in TIMING_COLUMNS:
+                        cells[CSV_COLUMNS.index(column)] = "-"
+                h.update(",".join(cells).encode() + b"\n")
+        print("cli grid 2 points", h.hexdigest())
+        report = os.path.join(tmp, "report.csv")
+        run_cli(tmp, "decompose", CLI_DECOMPOSE, "--out", report)
+        with open(report, "rb") as fh:
+            print("cli decompose", hashlib.sha256(fh.read()).hexdigest())
+
+
 def main():
     X, Y = sparse_features(260, 12, 10, seed=3)
     run_grid("narrow", X, Y, 3, 4, POLICIES, ("exhaustive", "random_threshold"))
@@ -230,6 +289,7 @@ def main():
     run_real_grid(X, real_outputs(X, 10, seed=7), 3, 4)
     run_decomposition()
     run_io()
+    run_cli_lines()
 
 
 if __name__ == "__main__":
