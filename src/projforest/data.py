@@ -4,6 +4,15 @@ import numpy as np
 import scipy.sparse as sp
 
 
+def check_integer(name, value, minimum):
+    """Reject a config value that is not an integer (numpy integers are
+    accepted, ``bool`` is not) or is below ``minimum``, naming the field."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
+        raise ValueError("{} must be an integer, got {!r}".format(name, value))
+    if value < minimum:
+        raise ValueError("{} must be >= {}, got {}".format(name, minimum, value))
+
+
 def as_feature_matrix(X):
     """Canonicalize an input matrix to float64, dense ndarray or CSR.
 

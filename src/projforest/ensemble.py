@@ -17,7 +17,7 @@ import json
 import time
 from dataclasses import dataclass
 
-from .data import to_dense
+from .data import check_integer, to_dense
 from .projection import ProjectionSpec, generate, pca_projection, project
 from .rng import RngStream
 from .tree import Tree, TreeConfig, grow_arrays
@@ -34,8 +34,8 @@ class EnsembleConfig:
     master_seed: int = 0
 
     def __post_init__(self):
-        if self.t < 1:
-            raise ValueError("ensemble size t must be >= 1")
+        check_integer("t", self.t, 1)
+        check_integer("master_seed", self.master_seed, 0)
         if self.policy not in POLICIES:
             raise ValueError("unknown policy: {!r}".format(self.policy))
         if self.policy != "no_projection" and self.projection is None:
@@ -93,17 +93,17 @@ class Ensemble:
             "format": self.FORMAT,
             "version": self.VERSION,
             "policy": self.config.policy,
-            "master_seed": self.config.master_seed,
-            "t": self.config.t,
+            "master_seed": int(self.config.master_seed),
+            "t": int(self.config.t),
             "tree": {
-                "k": self.config.tree.k,
-                "n_min": self.config.tree.n_min,
+                "k": int(self.config.tree.k),
+                "n_min": int(self.config.tree.n_min),
                 "splitter": self.config.tree.splitter,
-                "bootstrap": self.config.tree.bootstrap,
+                "bootstrap": bool(self.config.tree.bootstrap),
             },
             "projection": None
             if spec is None
-            else {"kind": spec.kind, "m": spec.m, "s": spec.s},
+            else {"kind": spec.kind, "m": int(spec.m), "s": spec.s},
             "trees": [tree.to_dict() for tree in self.trees],
         }
         with open(path, "w") as fh:

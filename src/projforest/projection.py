@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .data import to_dense
+from .data import check_integer, to_dense
 
 KINDS = (
     "gaussian",
@@ -45,8 +45,7 @@ class ProjectionSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError("unknown projection kind: {!r}".format(self.kind))
-        if self.m < 1:
-            raise ValueError("target dimension m must be >= 1")
+        check_integer("m", self.m, 1)
         if self.kind == "rademacher" and not (self.s >= 1.0):
             raise ValueError("rademacher sparsity s must satisfy 1/s in (0, 1]")
 

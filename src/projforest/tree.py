@@ -2,13 +2,23 @@
 
 The tree structure is chosen by variance reduction computed on a compressed
 output matrix Z, while leaf predictions are always component-wise means of the
-original outputs, so no decoding step is ever needed at prediction time.  The
-exhaustive split scan scores every threshold of all k candidate features of a
-node in one vectorized pass over running per-dimension sums, in blocks of at
-most ``SCAN_BLOCK_BYTES``, so its cost per node is O(k * q * m) for q samples
-and m output dimensions with no per-feature Python step: shrinking m shrinks
-training time proportionally.  Equal gains go to the lowest feature index,
-then the lowest threshold.
+original outputs, so no decoding step is ever needed at prediction time.
+
+Exhaustive trees grow one depth at a time.  The split scan scores every
+threshold of the k candidate features of every open node of a depth in one
+vectorized pass over running per-dimension sums, taken in blocks of whole
+nodes holding at most ``SCAN_BLOCK_BYTES`` of them (a larger node alone, a
+block of features at a time), so its cost per node is O(k * q * m) for q
+samples and m output dimensions with no per-feature and little per-node
+Python work:
+shrinking m shrinks training time proportionally.  A node's split does not
+depend on the other nodes scanned with it.  Each depth draws the features of
+all its splittable nodes in one call, in node order, and its nodes are
+numbered before any node of the next depth.  Random-threshold trees grow
+depth first, each node drawing its features and cuts when it is reached:
+their trees are small (a depth of a Monte Carlo harness tree holds 1-4
+nodes), so a level scan would batch little there.  Equal gains go to
+the lowest feature index, then the lowest threshold.
 """
 
 from dataclasses import dataclass
@@ -16,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .data import to_dense
+from .data import check_integer, to_dense
 from .projection import check_finite_labels, project
 
 SPLITTERS = ("exhaustive", "random_threshold")
@@ -24,11 +34,14 @@ SPLITTERS = ("exhaustive", "random_threshold")
 # A node whose projected variance falls at or below this is treated as pure.
 PURE_NODE_TOL = 1e-12
 
-# The exhaustive scan holds at most this many bytes of prefix sums at once.
-SCAN_BLOCK_BYTES = 1 << 24
+# The exhaustive scan holds at most this many bytes of prefix sums at once,
+# unless one feature of one node needs more, and sorts and scores chunks of
+# whole nodes whose per-entry arrays hold at most this many bytes each.
+SCAN_BLOCK_BYTES = 1 << 20
 
 # Blocks whose (features x outputs) row slab holds at least this many
-# entries take their prefix sums slab by slab rather than by ``np.cumsum``.
+# entries take their prefix sums slab by slab rather than by
+# ``np.add.accumulate``.
 SLAB_RECURRENCE_MIN = 256
 
 
@@ -36,12 +49,15 @@ SLAB_RECURRENCE_MIN = 256
 class TreeConfig:
     """Growth parameters.
 
-    ``k`` features are examined per split (drawn without replacement, fresh at
-    every node).  A split is attempted at nodes holding at least ``n_min``
-    samples (and never below 2).  The ``exhaustive`` splitter tries every
-    midpoint between consecutive distinct sorted values; ``random_threshold``
-    draws one uniform cut per candidate feature.  ``bootstrap`` resamples the
-    training rows with replacement before growing.
+    A split is attempted at nodes holding at least ``n_min`` samples (and
+    never below 2) whose outputs are not all equal, over ``k`` features drawn
+    without replacement for each such node: by the ``exhaustive`` splitter
+    for all of a depth's nodes in one call, by ``random_threshold`` when the
+    node is reached.  The ``exhaustive`` splitter tries every midpoint
+    between consecutive distinct sorted values; ``random_threshold`` draws
+    one uniform cut per candidate feature.  ``bootstrap`` resamples the
+    training rows with replacement before growing.  ``k`` and ``n_min`` must
+    be integers and ``bootstrap`` a bool.
     """
 
     k: int
@@ -50,10 +66,10 @@ class TreeConfig:
     bootstrap: bool = False
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
-        if self.n_min < 1:
-            raise ValueError("n_min must be >= 1")
+        check_integer("k", self.k, 1)
+        check_integer("n_min", self.n_min, 1)
+        if not isinstance(self.bootstrap, (bool, np.bool_)):
+            raise ValueError("bootstrap must be a bool, got {!r}".format(self.bootstrap))
         if self.splitter not in SPLITTERS:
             raise ValueError("unknown splitter: {!r}".format(self.splitter))
 
@@ -84,74 +100,173 @@ def variance_sum(Y_rows):
 def _prefix_sums(C):
     """Running sums along axis 1 of a (kb, q, m) block, in place.
 
-    ``np.cumsum`` along that axis adds one column of a slab at a time, which
-    is slow once the (kb, m) slab of one row position is wide; such blocks
-    add each slab to the one before it instead.  Both add the same numbers in
-    the same order, so the sums are identical either way.
+    ``np.add.accumulate`` along that axis adds one column of a slab at a
+    time, which is slow once the (kb, m) slab of one row position is wide;
+    such blocks add each slab to the one before it instead.  Both add the
+    same numbers in the same order, so the sums are identical either way.
     """
     kb, q, m = C.shape
     if kb * m < SLAB_RECURRENCE_MIN:
-        np.cumsum(C, axis=1, out=C)
+        np.add.accumulate(C, axis=1, out=C)
         return
-    for i in range(1, q):
-        np.add(C[:, i - 1], C[:, i], out=C[:, i])
+    slabs = list(C.swapaxes(0, 1))
+    for prev, cur in zip(slabs, slabs[1:]):
+        np.add(prev, cur, out=cur)
 
 
-def _scan_exhaustive(X, Zs, M, M2, samples, features):
-    """Best midpoint split over the given (sorted) features; None when no
-    gain > 0.
+def _scan_level(X, Z, samples, sizes, M, M2, features):
+    """Best midpoint split of every node of a level, all nodes scanned together.
 
-    All k features are scored together: one stable sort of the (k, q) value
-    block, then, block by block, the prefix sums of Z in each feature's
-    order as a (kb, q, m) array, from which every boundary between distinct
-    consecutive values is scored.  The work is O(k q log q + k q m) per node
-    with no per-feature Python step.  A block holds at most
-    ``SCAN_BLOCK_BYTES`` of prefix sums (always at least one feature), which
-    bounds the scan's memory at large q * m.
+    Node i holds the next ``sizes[i]`` entries of ``samples`` (rows of X and
+    Z), has output sums ``M[i]`` with ``M2[i] = M[i] @ M[i]``, and examines
+    the sorted features ``features[i]`` (an (s, k) array).  Returns, per
+    node, the best gain (not positive when no split gains), its feature,
+    threshold and left-child size, plus ``samples`` with each node's entries
+    stably sorted by that feature, so that a split node's children are its
+    first ``n_left`` entries and the rest.
 
-    Each feature's prefix sums are a contiguous (q, m) array multiplied with
-    all q rows, as a one-feature scan would do, because BLAS results depend
-    on the row count and stride: the gains, and so the trees, do not depend
-    on k or on the block size.  Ties are broken toward the lowest feature
-    index, then the lowest threshold.
+    Nodes are sorted and scored in chunks of whole nodes holding at most
+    ``SCAN_BLOCK_BYTES / 8`` (node, feature, sample) entries, and never more
+    than 2^20, which keeps a chunk's sort keys within int64 (a single node
+    overflows them only past 3e9 entries, 24 GB of feature values); a bigger
+    node is a chunk alone.  Every number a node's choice rests on is
+    computed from that node's entries alone, in the same order whatever
+    shares its chunk or its block of prefix sums, so a level scan chooses
+    exactly what one-node scans would.
     """
-    q = samples.size
-    m = Zs.shape[1]
-    V = X[:, features][samples].T
-    order = np.argsort(V, axis=1, kind="stable")
-    Vs = V[np.arange(features.size)[:, None], order]
-    is_cut = Vs[:, 1:] > Vs[:, :-1]
-    nl = np.arange(1, q, dtype=np.float64)
-    block = max(1, SCAN_BLOCK_BYTES // (8 * q * m))
-    best_gain = 0.0
-    best = None
-    for start in range(0, features.size, block):
-        rows = order[start : start + block]
-        C = Zs[rows]
-        _prefix_sums(C)
-        c2 = np.einsum("fij,fij->fi", C, C)[:, :-1]
-        cm = (C @ M)[:, :-1]
-        score = c2 / nl + (M2 - 2.0 * cm + c2) / (q - nl)
-        score = np.where(is_cut[start : start + block], score, -np.inf)
-        cut = np.argmax(score, axis=1)
-        gains = (score.max(axis=1) - M2 / q) / q
-        j = int(np.argmax(gains))
-        if gains[j] > best_gain:
-            best_gain = float(gains[j])
-            best = (start + j, int(cut[j]))
-    if best is None:
-        return None
-    f, i = best
-    lo, hi = Vs[f, i], Vs[f, i + 1]
+    s, k = features.shape
+    bounds = np.zeros(s + 1, dtype=np.int64)
+    np.cumsum(sizes, out=bounds[1:])
+    per_node = [np.empty(s), np.empty(s, dtype=np.int64), np.empty(s),
+                np.empty(s, dtype=np.int64)]
+    ordered = np.empty_like(samples)
+    for a, b in _runs(k * sizes, min(SCAN_BLOCK_BYTES // 8, 1 << 20)):
+        found = _scan_chunk(X, Z, samples[bounds[a]:bounds[b]], sizes[a:b],
+                            M[a:b], M2[a:b], features[a:b])
+        for dest, part in zip(per_node, found):
+            dest[a:b] = part
+        ordered[bounds[a]:bounds[b]] = found[-1]
+    return (*per_node, ordered)
+
+
+def _runs(weights, budget):
+    """Consecutive runs [a, b) of items whose weights add up to at most
+    ``budget``; an item heavier than that is a run alone."""
+    ends = np.zeros(weights.size + 1, dtype=np.int64)
+    np.cumsum(weights, out=ends[1:])
+    a = 0
+    while a < weights.size:
+        b = max(a + 1, int(np.searchsorted(ends, ends[a] + budget, "right")) - 1)
+        yield a, b
+        a = b
+
+
+def _scan_chunk(X, Z, samples, sizes, M, M2, features):
+    """:func:`_scan_level` on one chunk of nodes.
+
+    The (node, feature) value segments are sorted in one pass, which leaves
+    them node by node, feature by feature, each in ascending order with ties
+    in sample order.  Each node's prefix sums of Z in that order are a
+    contiguous (k, q, m) array (or (kb, q, m) per block of features, see
+    :func:`_prefix_blocks`) summed by :func:`_prefix_sums` and multiplied
+    with ``M`` as one (q, m) matrix per feature, as a one-node scan does,
+    because BLAS results depend on the row count and stride.
+    Every boundary between distinct consecutive values is then scored at
+    once, and each node keeps its best segment (lowest feature on equal
+    gains), cut at its first best boundary (lowest threshold).
+    """
+    s, k = features.shape
+    q_all = samples.size
+    m = Z.shape[1]
+    starts = np.zeros(s, dtype=np.int64)
+    np.cumsum(sizes[:-1], out=starts[1:])
+    node_of = np.repeat(np.arange(s), sizes)
+    V = np.take(X, features[node_of].T + samples * X.shape[1]).ravel()
+    n_el = V.size
+    # Dense value ranks (equal values share one), then one sort of unique
+    # keys (segment, rank, position in the node): the order that a stable
+    # sort by value and then by segment gives, but without a stable sort of
+    # floats, which took twice as long.
+    by_value = np.argsort(V)
+    sorted_values = V[by_value]
+    new_value = np.empty(n_el, dtype=np.int64)
+    new_value[0] = 0
+    np.not_equal(sorted_values[1:], sorted_values[:-1], out=new_value[1:])
+    rank = np.empty(n_el, dtype=np.int64)
+    rank[by_value] = np.cumsum(new_value)
+    q_max = int(sizes.max())
+    key_span = (int(rank[by_value[-1]]) + 1) * q_max
+    key = np.add.outer(np.arange(k), node_of * k) * key_span
+    key += rank.reshape(k, q_all) * q_max
+    key += np.arange(q_all) - starts[node_of]
+    order = np.argsort(key, axis=None)
+    rows = np.tile(samples, k)[order]
+    Vs = V[order]
+
+    seg_size = np.repeat(sizes, k)
+    seg_start = np.zeros(s * k, dtype=np.int64)
+    np.cumsum(seg_size[:-1], out=seg_start[1:])
+    c2 = np.empty(n_el)
+    cm = np.empty(n_el)
+    for a, b, f0, f1 in _prefix_blocks(sizes, k, m):
+        kb = f1 - f0
+        lo = k * starts[a] + f0 * sizes[a]
+        hi = lo + kb * int(sizes[a:b].sum())
+        C = np.take(Z, rows[lo:hi], axis=0)
+        at = 0
+        for q, M_i in zip(sizes[a:b].tolist(), M[a:b]):
+            C_i = C[at:at + kb * q].reshape(kb, q, m)
+            _prefix_sums(C_i)
+            np.matmul(C_i, M_i, out=cm[lo + at:lo + at + kb * q].reshape(kb, q))
+            at += kb * q
+        np.einsum("ij,ij->i", C, C, out=c2[lo:hi])
+
+    # Boundary after entry e of a segment: e + 1 samples go left.
+    n_left = np.arange(1.0, n_el + 1.0)
+    n_left -= np.repeat(seg_start, seg_size)
+    n_right = np.repeat(seg_size.astype(np.float64), seg_size)
+    n_right -= n_left
+    np.maximum(n_right, 1.0, out=n_right)
+    is_cut = np.empty(n_el, dtype=bool)
+    np.greater(Vs[1:], Vs[:-1], out=is_cut[:-1])
+    is_cut[seg_start + seg_size - 1] = False
+    right = np.repeat(M2, k * sizes)
+    right -= 2.0 * cm
+    right += c2
+    right /= n_right
+    score = c2 / n_left
+    score += right
+    score = np.where(is_cut, score, -np.inf)
+
+    seg_max = np.maximum.reduceat(score, seg_start)
+    gains = (seg_max - np.repeat(M2 / sizes, k)) / seg_size
+    best_f = gains.reshape(s, k).argmax(axis=1)
+    best = np.arange(s) * k + best_f
+    hits = np.flatnonzero(score == np.repeat(seg_max, seg_size))
+    cut = hits[np.searchsorted(hits, seg_start[best])]
+    lo, hi = Vs[cut], Vs[cut + 1]
     thr = 0.5 * (lo + hi)
-    if not (lo < thr < hi):
-        # adjacent floats leave no strictly-between midpoint
-        thr = lo
-    return (
-        SplitRecord(int(features[f]), float(thr), best_gain),
-        samples[order[f, : i + 1]],
-        samples[order[f, i + 1 :]],
-    )
+    # adjacent floats leave no strictly-between midpoint
+    thr = np.where((lo < thr) & (thr < hi), thr, lo)
+    ordered = rows[np.repeat(seg_start[best] - starts, sizes) + np.arange(q_all)]
+    return (gains[best], features[np.arange(s), best_f], thr,
+            cut - seg_start[best] + 1, ordered)
+
+
+def _prefix_blocks(sizes, k, m):
+    """The blocks in which a chunk takes its prefix sums, as (first node, end
+    node, first feature, end feature): runs of whole nodes holding at most
+    ``SCAN_BLOCK_BYTES`` of prefix sums, and each bigger node alone, as many
+    of its features at a time as fit (at least one)."""
+    blocks = []
+    for a, b in _runs(8 * k * m * sizes, SCAN_BLOCK_BYTES):
+        per_feature = 8 * m * int(sizes[a])
+        if k * per_feature > SCAN_BLOCK_BYTES:
+            width = max(1, SCAN_BLOCK_BYTES // per_feature)
+            blocks += [(a, b, f, min(k, f + width)) for f in range(0, k, width)]
+        else:
+            blocks.append((a, b, 0, k))
+    return blocks
 
 
 def _scan_random_threshold(X, Zs, M, M2, samples, features, gen):
@@ -184,28 +299,59 @@ def _scan_random_threshold(X, Zs, M, M2, samples, features, gen):
     return SplitRecord(f, thr, best_gain), samples[mask], samples[~mask]
 
 
-def _best_split(scan, X, Z, samples, features, *gen):
-    """Validate a one-shot node search, then run ``scan`` over the node."""
+def _check_node(samples, features):
+    """Validated (samples, sorted features) of a one-shot node search."""
     samples = np.asarray(samples, dtype=np.int64)
     features = np.sort(np.asarray(features, dtype=np.int64))
     if samples.size < 2:
         raise ValueError("need at least two samples to split")
     if features.size == 0:
         raise ValueError("feature subset must be non-empty")
-    Zs = np.asarray(Z, dtype=np.float64)[samples]
-    M = Zs.sum(axis=0)
-    found = scan(to_dense(X), Zs, M, float(M @ M), samples, features, *gen)
-    return None if found is None else found[0]
+    return samples, features
+
+
+def _node_sums(Z, samples, sizes):
+    """Bounds, output sums M (s, m) and ``M2 = |M|^2`` of consecutive nodes
+    holding ``sizes`` entries of ``samples`` each.
+
+    M is a sparse (node x row) product with Z, which adds each node's rows
+    one after another in ``samples`` order, apart from every other node.
+    ``np.add.reduceat`` over the gathered rows would add the same way but
+    walks each output column with a stride of m: at m=1000 it took 4-10 ms
+    a depth against about 1 ms for the product.
+    """
+    bounds = np.zeros(sizes.size + 1, dtype=np.int64)
+    np.cumsum(sizes, out=bounds[1:])
+    member = sp.csr_matrix((np.ones(samples.size), samples, bounds),
+                           shape=(sizes.size, Z.shape[0]))
+    M = member @ Z
+    return bounds, M, np.einsum("ij,ij->i", M, M)
 
 
 def best_split_exhaustive(X, Z, samples, features):
-    """Public one-shot exhaustive split search over a node."""
-    return _best_split(_scan_exhaustive, X, Z, samples, features)
+    """Public one-shot exhaustive split search over a node: the level scan
+    that grows trees, run on this one node."""
+    samples, features = _check_node(samples, features)
+    Z = np.asarray(Z, dtype=np.float64)
+    sizes = np.array([samples.size])
+    _, M, M2 = _node_sums(Z, samples, sizes)
+    gain, feature, threshold, _, _ = _scan_level(
+        to_dense(X), Z, samples, sizes, M, M2, features[None, :]
+    )
+    if not gain[0] > 0.0:
+        return None
+    return SplitRecord(int(feature[0]), float(threshold[0]), float(gain[0]))
 
 
 def best_split_random_threshold(X, Z, samples, features, rng):
     """Public one-shot random-threshold split search over a node."""
-    return _best_split(_scan_random_threshold, X, Z, samples, features, rng.generator)
+    samples, features = _check_node(samples, features)
+    Zs = np.asarray(Z, dtype=np.float64)[samples]
+    M = Zs.sum(axis=0)
+    found = _scan_random_threshold(
+        to_dense(X), Zs, M, float(M @ M), samples, features, rng.generator
+    )
+    return None if found is None else found[0]
 
 
 class Tree:
@@ -422,25 +568,56 @@ def grow_arrays(X, Y, phi, cfg, rng, Z=None):
         rows = np.arange(n, dtype=np.int64)
         Xt, Zt = X, Z
 
-    znorm2 = np.einsum("ij,ij->i", Zt, Zt)
-    n_t = rows.size
-    min_split = max(2, cfg.n_min)
-    random_splitter = cfg.splitter == "random_threshold"
+    nodes = _Nodes(rows.size, n)
+    grow = _grow_depth_first if cfg.splitter == "random_threshold" else _grow_by_depth
+    grow(nodes, Xt, Zt, rows, max(2, cfg.n_min), cfg.k, gen)
 
-    # Every leaf holds at least one sample, so a tree has at most n_t leaves
-    # and 2 * n_t - 1 nodes; the arrays are trimmed to the grown size below.
-    size = 2 * n_t - 1
-    feature = np.full(size, -1, dtype=np.int64)
-    threshold = np.zeros(size)
-    children_left = np.full(size, -1, dtype=np.int64)
-    children_right = np.full(size, -1, dtype=np.int64)
-    leaf_of = np.full(size, -1, dtype=np.int64)
-    counts = np.empty(n_t, dtype=np.int64)
-    leaf_of_row = np.empty(n, dtype=np.int64)
+    n_nodes, n_leaves = nodes.n_nodes, nodes.n_leaves
+    counts = nodes.counts[:n_leaves].copy()
+    return Tree(
+        feature=nodes.feature[:n_nodes].copy(),
+        threshold=nodes.threshold[:n_nodes].copy(),
+        children_left=nodes.children_left[:n_nodes].copy(),
+        children_right=nodes.children_right[:n_nodes].copy(),
+        leaf_id=nodes.leaf_of[:n_nodes].copy(),
+        leaf_values=_leaf_sums(Y, nodes.leaf_of_row, np.bincount(rows, minlength=n),
+                               n_leaves) / counts[:, None],
+        leaf_counts=counts,
+        n_features=p,
+    )
+
+
+class _Nodes:
+    """The node arrays of a tree being grown, preallocated: every leaf holds
+    at least one of the n_t samples, so a tree has at most n_t leaves and
+    2 * n_t - 1 nodes.  ``leaf_of_row`` maps original rows to leaves."""
+
+    def __init__(self, n_t, n):
+        size = 2 * n_t - 1
+        self.feature = np.full(size, -1, dtype=np.int64)
+        self.threshold = np.zeros(size)
+        self.children_left = np.full(size, -1, dtype=np.int64)
+        self.children_right = np.full(size, -1, dtype=np.int64)
+        self.leaf_of = np.full(size, -1, dtype=np.int64)
+        self.counts = np.empty(n_t, dtype=np.int64)
+        self.leaf_of_row = np.empty(n, dtype=np.int64)
+        self.n_nodes = 1
+        self.n_leaves = 0
+
+
+def _grow_depth_first(nodes, Xt, Zt, rows, min_split, k, gen):
+    """Random-threshold growth, one node at a time in depth-first order: a
+    split node's children take the next two ids, and the left subtree is
+    grown before the right one.  Each node draws its k features, then its
+    cuts, from ``gen`` when it is reached."""
+    p = Xt.shape[1]
+    znorm2 = np.einsum("ij,ij->i", Zt, Zt)
+    feature, threshold = nodes.feature, nodes.threshold
+    children_left, children_right = nodes.children_left, nodes.children_right
+    leaf_of, counts, leaf_of_row = nodes.leaf_of, nodes.counts, nodes.leaf_of_row
     n_nodes = 1
     n_leaves = 0
-
-    stack = [(np.arange(n_t, dtype=np.int64), 0)]
+    stack = [(np.arange(rows.size, dtype=np.int64), 0)]
     while stack:
         samples, node = stack.pop()
         q = samples.size
@@ -451,14 +628,9 @@ def grow_arrays(X, Y, phi, cfg, rng, Z=None):
             M2 = float(M @ M)
             impurity = float(znorm2[samples].sum()) / q - M2 / (q * q)
             if impurity > PURE_NODE_TOL:
-                chosen = gen.choice(p, size=cfg.k, replace=False)
+                chosen = gen.choice(p, size=k, replace=False)
                 chosen.sort()
-                if random_splitter:
-                    found = _scan_random_threshold(
-                        Xt, Zs, M, M2, samples, chosen, gen
-                    )
-                else:
-                    found = _scan_exhaustive(Xt, Zs, M, M2, samples, chosen)
+                found = _scan_random_threshold(Xt, Zs, M, M2, samples, chosen, gen)
         if found is None:
             leaf_of[node] = n_leaves
             counts[n_leaves] = q
@@ -473,16 +645,63 @@ def grow_arrays(X, Y, phi, cfg, rng, Z=None):
         stack.append((right_samples, n_nodes + 1))
         stack.append((left_samples, n_nodes))
         n_nodes += 2
+    nodes.n_nodes, nodes.n_leaves = n_nodes, n_leaves
 
-    counts = counts[:n_leaves].copy()
-    return Tree(
-        feature=feature[:n_nodes].copy(),
-        threshold=threshold[:n_nodes].copy(),
-        children_left=children_left[:n_nodes].copy(),
-        children_right=children_right[:n_nodes].copy(),
-        leaf_id=leaf_of[:n_nodes].copy(),
-        leaf_values=_leaf_sums(Y, leaf_of_row, np.bincount(rows, minlength=n),
-                               n_leaves) / counts[:, None],
-        leaf_counts=counts,
-        n_features=p,
-    )
+
+def _draw_features(gen, s, p, k):
+    """Sorted k-of-p feature draws for s nodes, an (s, k) array: the k
+    smallest of p uniform keys per node.  The keys are drawn a few rows at a
+    time to bound memory; the stream yields the same keys as one call."""
+    rows = max(1, SCAN_BLOCK_BYTES // (8 * p))
+    keys = [gen.random((min(rows, s - a), p)) for a in range(0, s, rows)]
+    chosen = np.argpartition(np.concatenate(keys), k - 1, axis=1)[:, :k]
+    chosen.sort(axis=1)
+    return chosen
+
+
+def _grow_by_depth(nodes, Xt, Zt, rows, min_split, k, gen):
+    """Exhaustive growth one depth at a time.  The open nodes of a depth are
+    numbered before any node of the next; each depth draws the features of
+    all its splittable nodes in one call, then scans them together with
+    :func:`_scan_level`, and split nodes hand their children, in order,
+    to the next depth."""
+    p = Xt.shape[1]
+    znorm2 = np.einsum("ij,ij->i", Zt, Zt)
+    ids = np.zeros(1, dtype=np.int64)
+    samples = np.arange(rows.size, dtype=np.int64)
+    sizes = np.array([rows.size])
+    while ids.size:
+        bounds, M, M2 = _node_sums(Zt, samples, sizes)
+        impurity = np.add.reduceat(znorm2[samples], bounds[:-1]) / sizes - M2 / (sizes * sizes)
+        open_ = (sizes >= min_split) & (impurity > PURE_NODE_TOL)
+        scan = np.flatnonzero(open_)
+        split = np.zeros(ids.size, dtype=bool)
+        if scan.size:
+            gain, feature, threshold, n_left, ordered = _scan_level(
+                Xt, Zt, samples[np.repeat(open_, sizes)], sizes[scan], M[scan], M2[scan],
+                _draw_features(gen, scan.size, p, k),
+            )
+            ok = gain > 0.0
+            split[scan[ok]] = True
+
+        leaves = ~split
+        leaf_ids = nodes.n_leaves + np.arange(np.count_nonzero(leaves))
+        nodes.leaf_of[ids[leaves]] = leaf_ids
+        nodes.counts[leaf_ids] = sizes[leaves]
+        in_leaf = np.repeat(leaves, sizes)
+        nodes.leaf_of_row[rows[samples[in_leaf]]] = np.repeat(leaf_ids, sizes[leaves])
+        nodes.n_leaves += leaf_ids.size
+        if not split.any():
+            return
+
+        parents = ids[split]
+        left = nodes.n_nodes + 2 * np.arange(parents.size)
+        nodes.feature[parents] = feature[ok]
+        nodes.threshold[parents] = threshold[ok]
+        nodes.children_left[parents] = left
+        nodes.children_right[parents] = left + 1
+        nodes.n_nodes += 2 * parents.size
+        ids = np.column_stack([left, left + 1]).ravel()
+        samples = ordered[np.repeat(ok, sizes[scan])]
+        n_left = n_left[ok]
+        sizes = np.column_stack([n_left, sizes[scan][ok] - n_left]).ravel()

@@ -333,6 +333,27 @@ class TestValidation:
             with pytest.raises(ValueError, match="Y contains non-finite"):
                 _fit_arrays(X, labels, cfg, 0, 0)
 
+    @pytest.mark.parametrize("value", [0, -2, 2.5, 3.0, True, "3", None])
+    def test_t_must_be_a_positive_integer(self, value):
+        with pytest.raises(ValueError, match="^t must be"):
+            EnsembleConfig(t=value, tree=TreeConfig(k=1), policy="no_projection")
+
+    @pytest.mark.parametrize("value", [-1, 1.5, 1.0, True, "7", None])
+    def test_master_seed_must_be_a_non_negative_integer(self, value):
+        with pytest.raises(ValueError, match="^master_seed must be"):
+            EnsembleConfig(t=2, tree=TreeConfig(k=1), policy="no_projection",
+                           master_seed=value)
+
+    def test_numpy_integers_accepted_and_saved(self, tmp_path):
+        cfg = EnsembleConfig(t=np.int64(2), tree=TreeConfig(k=np.int32(2)),
+                             projection=ProjectionSpec("gaussian", np.int64(3)),
+                             master_seed=np.uint32(9))
+        ensemble = fit(small_data(seed=17), cfg)
+        ensemble.save(tmp_path / "model.json")
+        back = Ensemble.load(tmp_path / "model.json")
+        assert back.config == cfg
+        assert all(trees_equal(a, b) for a, b in zip(back.trees, ensemble.trees))
+
     def test_identity_kind_with_wrong_m_fails_at_fit(self):
         ds = small_data(seed=16)
         with pytest.raises(ValueError):

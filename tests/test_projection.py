@@ -26,6 +26,17 @@ def random_sparse_labels(n, d, density, seed):
     return sp.csr_matrix(Y)
 
 
+class TestSpec:
+    @pytest.mark.parametrize("value", [0, -1, 2.5, 2.0, True, "2", None])
+    def test_m_must_be_a_positive_integer(self, value):
+        with pytest.raises(ValueError, match="^m must be"):
+            ProjectionSpec("gaussian", value)
+
+    def test_numpy_integer_m_accepted(self):
+        phi = generate(ProjectionSpec("gaussian", np.int64(3)), 5, RngStream(0, 0))
+        assert phi.m == 3
+
+
 class TestGenerate:
     def test_rademacher_s1_entries(self):
         phi = generate(ProjectionSpec("rademacher", 4, s=1.0), 8, RngStream(0, 0))

@@ -193,10 +193,12 @@ class TestExhaustiveSplit:
 
 @st.composite
 def split_problems(draw):
-    """A node of up to 30 samples: heavily tied integer features, runs of
-    adjacent floats (where no midpoint lies strictly between two values) or
-    continuous ones, with some columns duplicated; binary or continuous
-    outputs up to 20 wide."""
+    """A level of 1-4 nodes over shared rows: up to 30 samples each, drawn
+    from heavily tied integer features, runs of adjacent floats (where no
+    midpoint lies strictly between two values) or continuous ones, with
+    some columns duplicated; binary or continuous outputs up to 20 wide;
+    every node examines its own k features.  Also a scan budget in bytes:
+    0 scans one feature of one node at a time, the default whole nodes."""
     n = draw(st.integers(2, 30))
     p = draw(st.integers(1, 10))
     kind = draw(st.sampled_from(["ties", "adjacent", "continuous"]))
@@ -219,19 +221,62 @@ def split_problems(draw):
         Z = zgen.integers(0, 2, size=(n, m)).astype(np.float64)
     else:
         Z = zgen.uniform(-3.0, 3.0, size=(n, m))
-    if draw(st.booleans()):
-        samples = np.arange(n)
-    else:
-        samples = np.array(draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=n)))
-    features = draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=8, unique=True))
-    return X, Z, samples, sorted(features)
+    k = draw(st.integers(1, min(p, 8)))
+    nodes = []
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            samples = np.arange(n)
+        else:
+            samples = np.array(
+                draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=n))
+            )
+        features = draw(st.lists(st.integers(0, p - 1), min_size=k, max_size=k, unique=True))
+        nodes.append((samples, sorted(features)))
+    budget = draw(st.sampled_from([0, 8 * m * n, tree_module.SCAN_BLOCK_BYTES]))
+    return X, Z, nodes, budget
+
+
+def scan_level(X, Z, nodes):
+    """Per node of ``nodes`` (a list of (samples, features)), the gain,
+    feature, threshold, left size and sorted samples that one call of the
+    level scan returns for all of them together."""
+    sizes = np.array([samples.size for samples, _ in nodes])
+    samples = np.concatenate([samples for samples, _ in nodes])
+    features = np.array([features for _, features in nodes])
+    bounds, M, M2 = tree_module._node_sums(Z, samples, sizes)
+    *per_node, ordered = tree_module._scan_level(
+        X, Z, samples, sizes, M, M2, features
+    )
+    return [
+        tuple(a[i] for a in per_node) + (ordered[bounds[i]:bounds[i + 1]].tolist(),)
+        for i in range(len(nodes))
+    ]
 
 
 @settings(max_examples=150, deadline=None)
 @given(split_problems())
 def test_exhaustive_split_matches_brute_force(problem):
-    X, Z, samples, features = problem
-    rec = best_split_exhaustive(X, Z, samples, features)
+    X, Z, nodes, budget = problem
+    default_budget = tree_module.SCAN_BLOCK_BYTES
+    tree_module.SCAN_BLOCK_BYTES = budget
+    try:
+        level = scan_level(X, Z, nodes)
+    finally:
+        tree_module.SCAN_BLOCK_BYTES = default_budget
+    for (samples, features), found in zip(nodes, level):
+        # A node's scan does not depend on its neighbours or on the budget.
+        assert found == scan_level(X, Z, [(samples, features)])[0]
+        rec = best_split_exhaustive(X, Z, samples, features)
+        gain, feature, threshold = found[:3]
+        if rec is None:
+            assert not gain > 0.0
+        else:
+            assert (rec.impurity_reduction, rec.feature, rec.threshold) == (
+                gain, feature, threshold)
+        check_against_brute_force(X, Z, samples, features, rec)
+
+
+def check_against_brute_force(X, Z, samples, features, rec):
     splits = brute_force_splits(X, Z, samples, features)
     best = max(splits, key=lambda split: split[0], default=(0.0,))
     # The scan and the oracle sum in different orders, so gains agree to a
@@ -252,6 +297,131 @@ def test_exhaustive_split_matches_brute_force(problem):
     # returns exactly the oracle's choice.
     if len({(X[samples, f].tobytes(), thr) for f, thr in near}) == 1:
         assert (rec.feature, rec.threshold) == best[1:]
+
+
+def node_depths(tree):
+    depth = np.zeros(tree.n_nodes, dtype=np.int64)
+    for node in range(tree.n_nodes):
+        if tree.feature[node] >= 0:
+            depth[tree.children_left[node]] = depth[node] + 1
+            depth[tree.children_right[node]] = depth[node] + 1
+    return depth
+
+
+def preorder(tree, node=0):
+    yield node
+    if tree.feature[node] >= 0:
+        yield from preorder(tree, tree.children_left[node])
+        yield from preorder(tree, tree.children_right[node])
+
+
+class TestGrowthOrder:
+    X = np.floor(np.random.default_rng(20).random((120, 5)) * 6.0)
+    Y = (np.random.default_rng(21).random((120, 6)) < 0.4).astype(float)
+
+    def test_exhaustive_numbers_each_depth_before_the_next(self):
+        tree = grow_arrays(self.X, self.Y, None, TreeConfig(k=3, n_min=2),
+                           RngStream(3, 0))
+        depth = node_depths(tree)
+        assert depth.max() >= 4
+        assert (np.diff(depth) >= 0).all()
+        # Split nodes hand out child ids in id order: 1-2, 3-4, ...
+        split = np.flatnonzero(tree.feature >= 0)
+        np.testing.assert_array_equal(tree.children_left[split], 2 * np.arange(split.size) + 1)
+        np.testing.assert_array_equal(tree.children_right[split], tree.children_left[split] + 1)
+
+    def test_random_threshold_numbers_depth_first(self):
+        tree = grow_arrays(self.X, self.Y, None,
+                           TreeConfig(k=3, n_min=2, splitter="random_threshold"),
+                           RngStream(3, 0))
+        depth = node_depths(tree)
+        assert (np.diff(depth) < 0).any()
+        # Split nodes hand out child ids in depth-first (preorder) order,
+        # the left subtree before the right one.
+        split = [node for node in preorder(tree) if tree.feature[node] >= 0]
+        np.testing.assert_array_equal(tree.children_left[split], 2 * np.arange(len(split)) + 1)
+        np.testing.assert_array_equal(tree.children_right[split], tree.children_left[split] + 1)
+
+    def test_exhaustive_draws_every_depth_in_one_call(self):
+        # Replays the documented draws: per depth, one k-of-p draw for all
+        # splittable nodes (at least n_min samples, not pure) in id order.
+        cfg = TreeConfig(k=2, n_min=3)
+        tree = grow_arrays(self.X, self.Y, None, cfg, RngStream(4, 0))
+        members = node_memberships(tree, self.X)
+        depth = node_depths(tree)
+        gen = RngStream(4, 0).generator
+        for d in range(depth.max() + 1):
+            level = np.flatnonzero(depth == d)
+            open_ = [node for node in level if members[node].size >= cfg.n_min
+                     and variance_sum(self.Y[members[node]]) > tree_module.PURE_NODE_TOL]
+            split = [node for node in level if tree.feature[node] >= 0]
+            assert set(split) <= set(open_)
+            if not open_:
+                continue
+            drawn = tree_module._draw_features(gen, len(open_), self.X.shape[1], cfg.k)
+            for node, features in zip(open_, drawn):
+                if tree.feature[node] >= 0:
+                    assert tree.feature[node] in features
+
+    def test_scan_block_bytes_bound_chunks_and_prefix_sums(self, monkeypatch):
+        # A chunk holds at most SCAN_BLOCK_BYTES / 8 entries (or one node);
+        # a block of prefix sums at most SCAN_BLOCK_BYTES (or one feature of
+        # one node), and the blocks cover every (node, feature) once, in order.
+        Y = np.random.default_rng(22).standard_normal((120, 8))
+        cfg = TreeConfig(k=4, n_min=2)
+        m = Y.shape[1]
+        chunk_sizes, views = [], []
+        scan_chunk, prefix_sums = tree_module._scan_chunk, tree_module._prefix_sums
+
+        def spy_chunk(X, Z, samples, sizes, M, M2, features):
+            chunk_sizes.append(sizes.copy())
+            return scan_chunk(X, Z, samples, sizes, M, M2, features)
+
+        def spy_prefix_sums(C):
+            views.append(C.shape)
+            prefix_sums(C)
+
+        monkeypatch.setattr(tree_module, "_scan_chunk", spy_chunk)
+        monkeypatch.setattr(tree_module, "_prefix_sums", spy_prefix_sums)
+        for budget in (0, 1 << 12, 1 << 40):
+            monkeypatch.setattr(tree_module, "SCAN_BLOCK_BYTES", budget)
+            chunk_sizes.clear()
+            views.clear()
+            grow_arrays(self.X, Y, None, cfg, RngStream(5, 0))
+            assert max(sizes.size for sizes in chunk_sizes) > 1 or budget == 0
+            for sizes in chunk_sizes:
+                assert sizes.size == 1 or 8 * cfg.k * sizes.sum() <= budget
+                covered = []
+                for a, b, f0, f1 in tree_module._prefix_blocks(sizes, cfg.k, m):
+                    if (f0, f1) == (0, cfg.k):
+                        assert b - a == 1 or 8 * cfg.k * m * sizes[a:b].sum() <= budget
+                    else:
+                        assert b - a == 1 and (f1 - f0 == 1 or 8 * (f1 - f0) * m * sizes[a] <= budget)
+                    covered += [(i, f) for i in range(a, b) for f in range(f0, f1)]
+                assert covered == [(i, f) for i in range(sizes.size) for f in range(cfg.k)]
+            assert max(kb for kb, _, _ in views) == (1 if budget == 0 else cfg.k)
+
+
+class TestTreeConfig:
+    @pytest.mark.parametrize("value", [0, -1, 1.5, 2.0, True, "2", None])
+    def test_k_must_be_a_positive_integer(self, value):
+        with pytest.raises(ValueError, match="^k must be"):
+            TreeConfig(k=value)
+
+    @pytest.mark.parametrize("value", [0, -3, 2.5, 1.0, False, "1", None])
+    def test_n_min_must_be_a_positive_integer(self, value):
+        with pytest.raises(ValueError, match="^n_min must be"):
+            TreeConfig(k=1, n_min=value)
+
+    @pytest.mark.parametrize("value", ["no", "False", 0, 1, None])
+    def test_bootstrap_must_be_a_bool(self, value):
+        with pytest.raises(ValueError, match="^bootstrap must be a bool"):
+            TreeConfig(k=1, bootstrap=value)
+
+    def test_numpy_values_accepted(self):
+        cfg = TreeConfig(k=np.int64(2), n_min=np.int32(3), bootstrap=np.bool_(True))
+        tree = grow_arrays(TOY_X.repeat(2, axis=1), TOY_Z, None, cfg, RngStream(0, 0))
+        assert tree.leaf_counts.sum() == 4
 
 
 class TestRandomThresholdSplit:

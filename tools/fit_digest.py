@@ -18,7 +18,9 @@ different kernel than at m=3 and results can change in the last bits when
 the row count or stride of a product changes.  Its ``wide-m64`` lines fit a
 gaussian map at m=64, so that, like ``no_projection`` at m=40 and unlike
 m=16, the scan's prefix sums run slab by slab under a projection too (k=8
-features times m outputs reach ``tree.SLAB_RECURRENCE_MIN``).
+features times m outputs reach ``tree.SLAB_RECURRENCE_MIN``).  The ``yeast``
+line fits a yeast-shaped set (1000 bootstrap rows, 103 features, 14 labels,
+k=10, m=3, t=2), whose deep levels hold many nodes in one scan chunk.
 
 The real-valued grid fits on continuous outputs (negative values and zeros
 included), given dense and as CSR, with both splitters and bootstrap on and
@@ -160,6 +162,22 @@ def real_outputs(X, d, seed):
     return Y
 
 
+def run_yeast():
+    """A yeast-shaped exhaustive fit, digested over a 200-row query batch."""
+    ds = make_synthetic_multilabel(1200, 103, 14, n_clusters=32, labels_per_cluster=4,
+                                   noise=1.0, flip=0.005, seed=19)
+    cfg = EnsembleConfig(
+        t=2,
+        tree=TreeConfig(k=10, splitter="exhaustive", bootstrap=True),
+        projection=ProjectionSpec("gaussian", 3),
+        policy="per_tree_subspace",
+        master_seed=17,
+    )
+    ensemble = fit(ds.row_slice(np.arange(1000)), cfg)
+    query = np.asarray(ds.X)[1000:]
+    print("yeast per_tree_subspace gaussian exhaustive bootstrap", digest(ensemble, query))
+
+
 def report_digest(report):
     """SHA-256 over the estimates and standard errors of every term."""
     h = hashlib.sha256()
@@ -287,6 +305,7 @@ def main():
     run_grid("wide-m64", X, Y, 64, 8, WIDE_POLICIES[:1], ("exhaustive",))
     X, _ = sparse_features(260, 12, 10, seed=7)
     run_real_grid(X, real_outputs(X, 10, seed=7), 3, 4)
+    run_yeast()
     run_decomposition()
     run_io()
     run_cli_lines()
