@@ -36,6 +36,11 @@ class EnsembleConfig:
     def __post_init__(self):
         check_integer("t", self.t, 1)
         check_integer("master_seed", self.master_seed, 0)
+        if not isinstance(self.tree, TreeConfig):
+            raise ValueError("tree must be a TreeConfig, got {!r}".format(self.tree))
+        if not isinstance(self.projection, (ProjectionSpec, type(None))):
+            raise ValueError("projection must be a ProjectionSpec or None, got {!r}".format(
+                self.projection))
         if self.policy not in POLICIES:
             raise ValueError("unknown policy: {!r}".format(self.policy))
         if self.policy != "no_projection" and self.projection is None:
@@ -103,7 +108,7 @@ class Ensemble:
             },
             "projection": None
             if spec is None
-            else {"kind": spec.kind, "m": int(spec.m), "s": spec.s},
+            else {"kind": spec.kind, "m": int(spec.m), "s": float(spec.s)},
             "trees": [tree.to_dict() for tree in self.trees],
         }
         with open(path, "w") as fh:

@@ -8,6 +8,7 @@ training outputs (the Johnson-Lindenstrauss regime), which is what
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,9 +25,6 @@ KINDS = (
     "identity",
 )
 
-# Rademacher matrices denser than this are kept as plain arrays.
-_SPARSE_STORAGE_MIN_S = 3.0
-
 
 @dataclass(frozen=True)
 class ProjectionSpec:
@@ -35,7 +33,8 @@ class ProjectionSpec:
     ``m`` is the target dimension.  ``s`` only applies to ``rademacher``:
     entries are drawn from {-sqrt(s/m), 0, +sqrt(s/m)} with probabilities
     {1/(2s), 1 - 1/s, 1/(2s)}, so 1/s is the expected fraction of nonzeros
-    per entry and must lie in (0, 1].
+    per entry and must lie in (0, 1].  ``s`` must be a finite real number
+    (not a bool) whatever the kind.
     """
 
     kind: str
@@ -46,7 +45,11 @@ class ProjectionSpec:
         if self.kind not in KINDS:
             raise ValueError("unknown projection kind: {!r}".format(self.kind))
         check_integer("m", self.m, 1)
-        if self.kind == "rademacher" and not (self.s >= 1.0):
+        s = self.s
+        if isinstance(s, (bool, np.bool_)) or not isinstance(s, numbers.Real) \
+                or not math.isfinite(s):
+            raise ValueError("s must be a finite real number, got {!r}".format(s))
+        if self.kind == "rademacher" and not s >= 1.0:
             raise ValueError("rademacher sparsity s must satisfy 1/s in (0, 1]")
 
 
@@ -113,8 +116,6 @@ def generate(spec, d, rng):
         u = gen.random((m, d))
         scale = math.sqrt(s / m)
         mat = np.where(u < 0.5 / s, -scale, np.where(u >= 1.0 - 0.5 / s, scale, 0.0))
-        if s >= _SPARSE_STORAGE_MIN_S:
-            return ProjectionMatrix("rademacher", sp.csr_matrix(mat))
         return ProjectionMatrix("rademacher", mat)
 
     if spec.kind == "hadamard_subsample":

@@ -19,6 +19,15 @@ depth first, each node drawing its features and cuts when it is reached:
 their trees are small (a depth of a Monte Carlo harness tree holds 1-4
 nodes), so a level scan would batch little there.  Equal gains go to
 the lowest feature index, then the lowest threshold.
+
+A bootstrap sample of n rows holds only about 63% of them (1 - 1/e) once.
+Exhaustive trees grow on each distinct row once, weighted by its bootstrap
+multiplicity, as if its copies were present: the scan adds Z rows scaled by
+their weights, and a node's weight (its sample count, copies included)
+drives the ``n_min`` test, its impurity, its split gains and its leaf
+count, while its entry count (distinct rows) lays out its segments.  With
+unit weights, as without bootstrap, every number is the unweighted one.
+Random-threshold trees keep every copy as a row of its own.
 """
 
 from dataclasses import dataclass
@@ -56,8 +65,11 @@ class TreeConfig:
     node is reached.  The ``exhaustive`` splitter tries every midpoint
     between consecutive distinct sorted values; ``random_threshold`` draws
     one uniform cut per candidate feature.  ``bootstrap`` resamples the
-    training rows with replacement before growing.  ``k`` and ``n_min`` must
-    be integers and ``bootstrap`` a bool.
+    training rows with replacement before growing; the ``exhaustive``
+    splitter then holds each distinct row once, weighted by its
+    multiplicity, and a row drawn w times counts as w samples towards
+    ``n_min``.  ``k`` and ``n_min`` must be integers and ``bootstrap`` a
+    bool.
     """
 
     k: int
@@ -114,16 +126,19 @@ def _prefix_sums(C):
         np.add(prev, cur, out=cur)
 
 
-def _scan_level(X, Z, samples, sizes, M, M2, features):
+def _scan_level(X, Z, weight, samples, sizes, W, M, M2, features):
     """Best midpoint split of every node of a level, all nodes scanned together.
 
-    Node i holds the next ``sizes[i]`` entries of ``samples`` (rows of X and
-    Z), has output sums ``M[i]`` with ``M2[i] = M[i] @ M[i]``, and examines
-    the sorted features ``features[i]`` (an (s, k) array).  Returns, per
-    node, the best gain (not positive when no split gains), its feature,
-    threshold and left-child size, plus ``samples`` with each node's entries
+    Row r of X and Z stands for ``weight[r]`` samples, and row r of Z is
+    already scaled by ``weight[r]``.  Node i holds the next ``sizes[i]``
+    entries of ``samples`` (rows of X and Z), of total weight ``W[i]``, has
+    output sums ``M[i]`` with ``M2[i] = M[i] @ M[i]``, and examines the
+    sorted features ``features[i]`` (an (s, k) array).  Returns, per node,
+    the best gain (not positive when no split gains), its feature, threshold
+    and left-child entry count, plus ``samples`` with each node's entries
     stably sorted by that feature, so that a split node's children are its
-    first ``n_left`` entries and the rest.
+    first ``n_left`` entries and the rest.  With unit weights every number is
+    the one an unweighted scan computes.
 
     Nodes are sorted and scored in chunks of whole nodes holding at most
     ``SCAN_BLOCK_BYTES / 8`` (node, feature, sample) entries, and never more
@@ -141,8 +156,8 @@ def _scan_level(X, Z, samples, sizes, M, M2, features):
                 np.empty(s, dtype=np.int64)]
     ordered = np.empty_like(samples)
     for a, b in _runs(k * sizes, min(SCAN_BLOCK_BYTES // 8, 1 << 20)):
-        found = _scan_chunk(X, Z, samples[bounds[a]:bounds[b]], sizes[a:b],
-                            M[a:b], M2[a:b], features[a:b])
+        found = _scan_chunk(X, Z, weight, samples[bounds[a]:bounds[b]], sizes[a:b],
+                            W[a:b], M[a:b], M2[a:b], features[a:b])
         for dest, part in zip(per_node, found):
             dest[a:b] = part
         ordered[bounds[a]:bounds[b]] = found[-1]
@@ -161,7 +176,7 @@ def _runs(weights, budget):
         a = b
 
 
-def _scan_chunk(X, Z, samples, sizes, M, M2, features):
+def _scan_chunk(X, Z, weight, samples, sizes, W, M, M2, features):
     """:func:`_scan_level` on one chunk of nodes.
 
     The (node, feature) value segments are sorted in one pass, which leaves
@@ -221,10 +236,15 @@ def _scan_chunk(X, Z, samples, sizes, M, M2, features):
             at += kb * q
         np.einsum("ij,ij->i", C, C, out=c2[lo:hi])
 
-    # Boundary after entry e of a segment: e + 1 samples go left.
-    n_left = np.arange(1.0, n_el + 1.0)
-    n_left -= np.repeat(seg_start, seg_size)
-    n_right = np.repeat(seg_size.astype(np.float64), seg_size)
+    # Boundary after entry e of a segment: the weight of entries 0..e goes
+    # left.  Weights are integers, so these running sums are exact.
+    n_left = np.take(weight, rows)
+    np.cumsum(n_left, out=n_left)
+    before = np.zeros(s * k)
+    before[1:] = n_left[seg_start[1:] - 1]
+    n_left -= np.repeat(before, seg_size)
+    seg_weight = np.repeat(W, k)
+    n_right = np.repeat(seg_weight, seg_size)
     n_right -= n_left
     np.maximum(n_right, 1.0, out=n_right)
     is_cut = np.empty(n_el, dtype=bool)
@@ -239,7 +259,7 @@ def _scan_chunk(X, Z, samples, sizes, M, M2, features):
     score = np.where(is_cut, score, -np.inf)
 
     seg_max = np.maximum.reduceat(score, seg_start)
-    gains = (seg_max - np.repeat(M2 / sizes, k)) / seg_size
+    gains = (seg_max - np.repeat(M2 / W, k)) / seg_weight
     best_f = gains.reshape(s, k).argmax(axis=1)
     best = np.arange(s) * k + best_f
     hits = np.flatnonzero(score == np.repeat(seg_max, seg_size))
@@ -310,12 +330,13 @@ def _check_node(samples, features):
     return samples, features
 
 
-def _node_sums(Z, samples, sizes):
-    """Bounds, output sums M (s, m) and ``M2 = |M|^2`` of consecutive nodes
-    holding ``sizes`` entries of ``samples`` each.
+def _node_sums(Z, weight, samples, sizes):
+    """Bounds, weights W, output sums M (s, m) and ``M2 = |M|^2`` of
+    consecutive nodes holding ``sizes`` entries of ``samples`` each.
 
-    M is a sparse (node x row) product with Z, which adds each node's rows
-    one after another in ``samples`` order, apart from every other node.
+    W and M are sparse (node x row) products with ``weight`` and Z, which
+    add each node's rows one after another in ``samples`` order, apart from
+    every other node.
     ``np.add.reduceat`` over the gathered rows would add the same way but
     walks each output column with a stride of m: at m=1000 it took 4-10 ms
     a depth against about 1 ms for the product.
@@ -325,18 +346,20 @@ def _node_sums(Z, samples, sizes):
     member = sp.csr_matrix((np.ones(samples.size), samples, bounds),
                            shape=(sizes.size, Z.shape[0]))
     M = member @ Z
-    return bounds, M, np.einsum("ij,ij->i", M, M)
+    return bounds, member @ weight, M, np.einsum("ij,ij->i", M, M)
 
 
 def best_split_exhaustive(X, Z, samples, features):
     """Public one-shot exhaustive split search over a node: the level scan
-    that grows trees, run on this one node."""
+    that grows trees, run on this one node with every row weighing one
+    (repeated ``samples`` count once per repetition)."""
     samples, features = _check_node(samples, features)
     Z = np.asarray(Z, dtype=np.float64)
+    weight = np.ones(Z.shape[0])
     sizes = np.array([samples.size])
-    _, M, M2 = _node_sums(Z, samples, sizes)
+    _, W, M, M2 = _node_sums(Z, weight, samples, sizes)
     gain, feature, threshold, _, _ = _scan_level(
-        to_dense(X), Z, samples, sizes, M, M2, features[None, :]
+        to_dense(X), Z, weight, samples, sizes, W, M, M2, features[None, :]
     )
     if not gain[0] > 0.0:
         return None
@@ -537,8 +560,14 @@ def grow_arrays(X, Y, phi, cfg, rng, Z=None):
 
     The structure is fitted on Z = project(phi, Y) (or on Y itself when
     ``phi`` is None); leaves are labeled with means of the original Y rows
-    reaching them, bootstrap multiplicities included.  ``X`` is (n, p) dense or CSR (densified; dense float64 is not copied),
-    ``Y`` is (n, d) dense or CSR; a non-finite value in either is rejected.
+    reaching them, bootstrap multiplicities included.  ``X`` is (n, p) dense
+    or CSR (densified; dense float64 is not copied), ``Y`` is (n, d) dense
+    or CSR; a non-finite value in either is rejected.
+
+    With ``cfg.bootstrap`` the tree draws n rows with replacement from its
+    stream.  The exhaustive splitter grows on the distinct rows drawn, each
+    weighted by its multiplicity (a copy of their Z rows scaled in place by
+    it); ``random_threshold`` grows on all n drawn rows, copies included.
     ``Z`` may carry a precomputed projection of Y (used to time projection
     separately from growth); otherwise it is computed here.
     """
@@ -560,17 +589,22 @@ def grow_arrays(X, Y, phi, cfg, rng, Z=None):
     if Z is None:
         Z = project(phi, Y) if phi is not None else to_dense(Y)
     gen = rng.generator
+    min_split = max(2, cfg.n_min)
 
-    if cfg.bootstrap:
-        rows = gen.integers(0, n, size=n)
-        Xt, Zt = X[rows], Z[rows]
-    else:
-        rows = np.arange(n, dtype=np.int64)
-        Xt, Zt = X, Z
-
+    rows = gen.integers(0, n, size=n) if cfg.bootstrap else np.arange(n, dtype=np.int64)
+    multiplicity = np.bincount(rows, minlength=n)
+    if cfg.splitter == "exhaustive":
+        # Each distinct row once, weighted by its multiplicity.
+        rows = np.flatnonzero(multiplicity)
     nodes = _Nodes(rows.size, n)
-    grow = _grow_depth_first if cfg.splitter == "random_threshold" else _grow_by_depth
-    grow(nodes, Xt, Zt, rows, max(2, cfg.n_min), cfg.k, gen)
+    Xt, Zt = (X[rows], Z[rows]) if cfg.bootstrap else (X, Z)
+    if cfg.splitter == "random_threshold":
+        _grow_depth_first(nodes, Xt, Zt, rows, min_split, cfg.k, gen)
+    else:
+        weight = multiplicity[rows].astype(np.float64)
+        if cfg.bootstrap:
+            Zt *= weight[:, None]
+        _grow_by_depth(nodes, Xt, Zt, weight, rows, min_split, cfg.k, gen)
 
     n_nodes, n_leaves = nodes.n_nodes, nodes.n_leaves
     counts = nodes.counts[:n_leaves].copy()
@@ -580,8 +614,8 @@ def grow_arrays(X, Y, phi, cfg, rng, Z=None):
         children_left=nodes.children_left[:n_nodes].copy(),
         children_right=nodes.children_right[:n_nodes].copy(),
         leaf_id=nodes.leaf_of[:n_nodes].copy(),
-        leaf_values=_leaf_sums(Y, nodes.leaf_of_row, np.bincount(rows, minlength=n),
-                               n_leaves) / counts[:, None],
+        leaf_values=_leaf_sums(Y, nodes.leaf_of_row, multiplicity, n_leaves)
+        / counts[:, None],
         leaf_counts=counts,
         n_features=p,
     )
@@ -659,27 +693,30 @@ def _draw_features(gen, s, p, k):
     return chosen
 
 
-def _grow_by_depth(nodes, Xt, Zt, rows, min_split, k, gen):
-    """Exhaustive growth one depth at a time.  The open nodes of a depth are
-    numbered before any node of the next; each depth draws the features of
-    all its splittable nodes in one call, then scans them together with
-    :func:`_scan_level`, and split nodes hand their children, in order,
-    to the next depth."""
+def _grow_by_depth(nodes, Xt, Zt, weight, rows, min_split, k, gen):
+    """Exhaustive growth one depth at a time, on rows of ``Xt`` and ``Zt``
+    that stand for ``weight[r]`` samples each (``Zt`` scaled by it).  The
+    open nodes of a depth are numbered before any node of the next; each
+    depth draws the features of all its splittable nodes in one call, then
+    scans them together with :func:`_scan_level`, and split nodes hand
+    their children, in order, to the next depth."""
     p = Xt.shape[1]
-    znorm2 = np.einsum("ij,ij->i", Zt, Zt)
+    znorm2 = np.einsum("ij,ij->i", Zt, Zt) / weight
     ids = np.zeros(1, dtype=np.int64)
     samples = np.arange(rows.size, dtype=np.int64)
     sizes = np.array([rows.size])
     while ids.size:
-        bounds, M, M2 = _node_sums(Zt, samples, sizes)
-        impurity = np.add.reduceat(znorm2[samples], bounds[:-1]) / sizes - M2 / (sizes * sizes)
-        open_ = (sizes >= min_split) & (impurity > PURE_NODE_TOL)
+        bounds, W, M, M2 = _node_sums(Zt, weight, samples, sizes)
+        impurity = np.add.reduceat(znorm2[samples], bounds[:-1]) / W - M2 / (W * W)
+        # A node of one distinct row has nothing to split, whatever rounding
+        # leaves of its impurity once its row is scaled by its weight.
+        open_ = (sizes >= 2) & (W >= min_split) & (impurity > PURE_NODE_TOL)
         scan = np.flatnonzero(open_)
         split = np.zeros(ids.size, dtype=bool)
         if scan.size:
             gain, feature, threshold, n_left, ordered = _scan_level(
-                Xt, Zt, samples[np.repeat(open_, sizes)], sizes[scan], M[scan], M2[scan],
-                _draw_features(gen, scan.size, p, k),
+                Xt, Zt, weight, samples[np.repeat(open_, sizes)], sizes[scan], W[scan],
+                M[scan], M2[scan], _draw_features(gen, scan.size, p, k),
             )
             ok = gain > 0.0
             split[scan[ok]] = True
@@ -687,7 +724,7 @@ def _grow_by_depth(nodes, Xt, Zt, rows, min_split, k, gen):
         leaves = ~split
         leaf_ids = nodes.n_leaves + np.arange(np.count_nonzero(leaves))
         nodes.leaf_of[ids[leaves]] = leaf_ids
-        nodes.counts[leaf_ids] = sizes[leaves]
+        nodes.counts[leaf_ids] = W[leaves]
         in_leaf = np.repeat(leaves, sizes)
         nodes.leaf_of_row[rows[samples[in_leaf]]] = np.repeat(leaf_ids, sizes[leaves])
         nodes.n_leaves += leaf_ids.size

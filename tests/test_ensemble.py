@@ -309,6 +309,18 @@ class TestValidation:
             EnsembleConfig(t=2, tree=TreeConfig(k=1), projection=None,
                            policy="shared_subspace")
 
+    @pytest.mark.parametrize("value", ["k=3", None, {"k": 3}, 3,
+                                       ProjectionSpec("gaussian", 2)])
+    def test_tree_must_be_a_tree_config(self, value):
+        with pytest.raises(ValueError, match="^tree must be a TreeConfig"):
+            EnsembleConfig(t=2, tree=value, policy="no_projection")
+
+    @pytest.mark.parametrize("policy", ["shared_subspace", "no_projection"])
+    @pytest.mark.parametrize("value", ["gaussian", ("gaussian", 2), 2, TreeConfig(k=1)])
+    def test_projection_must_be_a_projection_spec_or_none(self, policy, value):
+        with pytest.raises(ValueError, match="^projection must be a ProjectionSpec"):
+            EnsembleConfig(t=2, tree=TreeConfig(k=1), projection=value, policy=policy)
+
     def test_bad_policy(self):
         with pytest.raises(ValueError):
             EnsembleConfig(t=2, tree=TreeConfig(k=1), projection=None,

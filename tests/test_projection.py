@@ -32,6 +32,17 @@ class TestSpec:
         with pytest.raises(ValueError, match="^m must be"):
             ProjectionSpec("gaussian", value)
 
+    @pytest.mark.parametrize("kind", ["rademacher", "gaussian"])
+    @pytest.mark.parametrize("value", ["2", "x", None, True, np.bool_(True),
+                                       float("inf"), -float("inf"), float("nan")])
+    def test_s_must_be_a_finite_real_number(self, kind, value):
+        with pytest.raises(ValueError, match="^s must be a finite real number"):
+            ProjectionSpec(kind, 3, s=value)
+
+    @pytest.mark.parametrize("value", [3, np.int64(3), np.float32(3.0), np.sqrt(10.0)])
+    def test_real_s_accepted(self, value):
+        assert ProjectionSpec("rademacher", 3, s=value).s == value
+
     def test_numpy_integer_m_accepted(self):
         phi = generate(ProjectionSpec("gaussian", np.int64(3)), 5, RngStream(0, 0))
         assert phi.m == 3
@@ -58,7 +69,7 @@ class TestGenerate:
         assert abs(zero_fraction - 2.0 / 3.0) <= 0.02
         scale = np.sqrt(3.0 / 100.0)
         assert set(np.unique(values)) <= {-scale, 0.0, scale}
-        assert sp.issparse(phi.matrix)
+        assert isinstance(phi.matrix, np.ndarray)
 
     def test_rademacher_invalid_s(self):
         with pytest.raises(ValueError):

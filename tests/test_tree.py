@@ -197,8 +197,9 @@ def split_problems(draw):
     from heavily tied integer features, runs of adjacent floats (where no
     midpoint lies strictly between two values) or continuous ones, with
     some columns duplicated; binary or continuous outputs up to 20 wide;
-    every node examines its own k features.  Also a scan budget in bytes:
-    0 scans one feature of one node at a time, the default whole nodes."""
+    every node examines its own k features.  Each row weighs one, or 1-4
+    as a bootstrap multiplicity would.  Also a scan budget in bytes: 0
+    scans one feature of one node at a time, the default whole nodes."""
     n = draw(st.integers(2, 30))
     p = draw(st.integers(1, 10))
     kind = draw(st.sampled_from(["ties", "adjacent", "continuous"]))
@@ -221,6 +222,9 @@ def split_problems(draw):
         Z = zgen.integers(0, 2, size=(n, m)).astype(np.float64)
     else:
         Z = zgen.uniform(-3.0, 3.0, size=(n, m))
+    weight = np.ones(n)
+    if draw(st.booleans()):
+        weight = zgen.integers(1, 5, size=n).astype(np.float64)
     k = draw(st.integers(1, min(p, 8)))
     nodes = []
     for _ in range(draw(st.integers(1, 4))):
@@ -233,19 +237,21 @@ def split_problems(draw):
         features = draw(st.lists(st.integers(0, p - 1), min_size=k, max_size=k, unique=True))
         nodes.append((samples, sorted(features)))
     budget = draw(st.sampled_from([0, 8 * m * n, tree_module.SCAN_BLOCK_BYTES]))
-    return X, Z, nodes, budget
+    return X, Z, weight, nodes, budget
 
 
-def scan_level(X, Z, nodes):
+def scan_level(X, Z, weight, nodes):
     """Per node of ``nodes`` (a list of (samples, features)), the gain,
-    feature, threshold, left size and sorted samples that one call of the
-    level scan returns for all of them together."""
+    feature, threshold, left entry count and sorted samples that one call
+    of the level scan returns for all of them together, row r of X and Z
+    weighing ``weight[r]``."""
     sizes = np.array([samples.size for samples, _ in nodes])
     samples = np.concatenate([samples for samples, _ in nodes])
     features = np.array([features for _, features in nodes])
-    bounds, M, M2 = tree_module._node_sums(Z, samples, sizes)
+    Zw = Z * weight[:, None]
+    bounds, W, M, M2 = tree_module._node_sums(Zw, weight, samples, sizes)
     *per_node, ordered = tree_module._scan_level(
-        X, Z, samples, sizes, M, M2, features
+        X, Zw, weight, samples, sizes, W, M, M2, features
     )
     return [
         tuple(a[i] for a in per_node) + (ordered[bounds[i]:bounds[i + 1]].tolist(),)
@@ -256,47 +262,49 @@ def scan_level(X, Z, nodes):
 @settings(max_examples=150, deadline=None)
 @given(split_problems())
 def test_exhaustive_split_matches_brute_force(problem):
-    X, Z, nodes, budget = problem
+    X, Z, weight, nodes, budget = problem
     default_budget = tree_module.SCAN_BLOCK_BYTES
     tree_module.SCAN_BLOCK_BYTES = budget
     try:
-        level = scan_level(X, Z, nodes)
+        level = scan_level(X, Z, weight, nodes)
     finally:
         tree_module.SCAN_BLOCK_BYTES = default_budget
     for (samples, features), found in zip(nodes, level):
         # A node's scan does not depend on its neighbours or on the budget.
-        assert found == scan_level(X, Z, [(samples, features)])[0]
-        rec = best_split_exhaustive(X, Z, samples, features)
+        assert found == scan_level(X, Z, weight, [(samples, features)])[0]
         gain, feature, threshold = found[:3]
-        if rec is None:
-            assert not gain > 0.0
-        else:
-            assert (rec.impurity_reduction, rec.feature, rec.threshold) == (
-                gain, feature, threshold)
-        check_against_brute_force(X, Z, samples, features, rec)
+        if (weight == 1.0).all():
+            rec = best_split_exhaustive(X, Z, samples, features)
+            if rec is None:
+                assert not gain > 0.0
+            else:
+                assert (rec.impurity_reduction, rec.feature, rec.threshold) == (
+                    gain, feature, threshold)
+        # A row of weight w splits as w copies of it would.
+        copies = np.repeat(samples, weight[samples].astype(np.int64))
+        check_against_brute_force(X, Z, copies, features, gain, feature, threshold)
 
 
-def check_against_brute_force(X, Z, samples, features, rec):
+def check_against_brute_force(X, Z, samples, features, gain, feature, threshold):
     splits = brute_force_splits(X, Z, samples, features)
     best = max(splits, key=lambda split: split[0], default=(0.0,))
     # The scan and the oracle sum in different orders, so gains agree to a
     # tolerance, and splits whose gains tie within it may be chosen either way.
     tol = 1e-9 * max(1.0, variance_sum(Z[samples]))
     top = best[0]
-    if rec is None:
+    if not gain > 0.0:
         assert top <= tol
         return
-    assert rec.impurity_reduction > 0.0
-    assert abs(rec.impurity_reduction - top) <= tol
-    near = [(f, thr) for gain, f, thr in splits if gain >= top - tol]
-    assert (rec.feature, rec.threshold) in near
+    assert abs(gain - top) <= tol
+    near = [(f, thr) for g, f, thr in splits if g >= top - tol]
+    assert (feature, threshold) in near
     # Duplicated columns tie exactly, and the lowest feature wins.
-    twins = [f for f in features if np.array_equal(X[samples, f], X[samples, rec.feature])]
-    assert rec.feature == twins[0]
+    twins = [f for f in features if np.array_equal(X[samples, f], X[samples, feature])]
+    assert feature == twins[0]
     # When the best split is unique up to duplicated columns, the scan
     # returns exactly the oracle's choice.
     if len({(X[samples, f].tobytes(), thr) for f, thr in near}) == 1:
-        assert (rec.feature, rec.threshold) == best[1:]
+        assert (feature, threshold) == best[1:]
 
 
 def node_depths(tree):
@@ -373,9 +381,9 @@ class TestGrowthOrder:
         chunk_sizes, views = [], []
         scan_chunk, prefix_sums = tree_module._scan_chunk, tree_module._prefix_sums
 
-        def spy_chunk(X, Z, samples, sizes, M, M2, features):
+        def spy_chunk(X, Z, weight, samples, sizes, W, M, M2, features):
             chunk_sizes.append(sizes.copy())
-            return scan_chunk(X, Z, samples, sizes, M, M2, features)
+            return scan_chunk(X, Z, weight, samples, sizes, W, M, M2, features)
 
         def spy_prefix_sums(C):
             views.append(C.shape)
@@ -536,6 +544,33 @@ class TestGrow:
         rows = RngStream(11, 0).generator.integers(0, 2, size=2)
         expected = to_dense(Y)[rows].mean(axis=0)
         np.testing.assert_array_equal(tree.leaf_values[0], expected)
+
+    @pytest.mark.parametrize("splitter", ["exhaustive", "random_threshold"])
+    def test_n_min_counts_bootstrap_copies(self, splitter):
+        # Stream (9, 0) draws rows 1, 1, 0, 2, 0: three distinct rows of
+        # multiplicities 2, 2 and 1, five samples in all, so the root is
+        # split at n_min=5 and not at n_min=6.
+        X = np.arange(5.0)[:, None]
+        Y = np.eye(5)
+        draw = RngStream(9, 0).generator.integers(0, 5, size=5)
+        np.testing.assert_array_equal(np.bincount(draw, minlength=5), [2, 2, 1, 0, 0])
+        trees = {
+            n_min: grow_arrays(X, Y, None, TreeConfig(k=1, n_min=n_min, splitter=splitter,
+                                                      bootstrap=True), RngStream(9, 0))
+            for n_min in (5, 6)
+        }
+        assert trees[5].n_nodes == 3 and trees[5].leaf_counts.sum() == 5
+        assert trees[6].n_nodes == 1 and trees[6].leaf_counts.tolist() == [5]
+
+    def test_one_distinct_row_is_a_leaf(self):
+        # Stream (11, 0) draws row 2 three times.  Scaled by its weight, the
+        # row's impurity rounds to about 6e-8 instead of 0, yet a node of one
+        # distinct row has no split to scan.
+        Y = np.array([[1.0, 2.0], [3.0, 4.0], [10137.2, 13521.4]])
+        tree = grow_arrays(np.arange(3.0)[:, None], Y, None,
+                           TreeConfig(k=1, bootstrap=True), RngStream(11, 0))
+        assert tree.n_nodes == 1 and tree.leaf_counts.tolist() == [3]
+        np.testing.assert_array_equal(tree.leaf_values[0], Y[2])
 
     def test_gain_nonnegative_on_all_internal_nodes(self):
         gen = np.random.default_rng(8)

@@ -26,6 +26,9 @@ The real-valued grid fits on continuous outputs (negative values and zeros
 included), given dense and as CSR, with both splitters and bootstrap on and
 off.  Binary labels make every leaf sum an exact integer in any order, so
 only this grid shows a change in the order in which leaf sums are added.
+The ``real-wide`` lines fit continuous outputs (40 wide, dense and CSR)
+under a sparse rademacher map at s = sqrt(d), m=16, so that a change in
+how the projection adds its terms shows.
 The decomposition lines digest ``estimate_ensemble`` estimates for a shared
 and a per-tree subspace config, as the Monte Carlo harness runs them, and for
 single trees (t=1) with no projection and with an identity map, under both
@@ -46,6 +49,7 @@ import gzip
 import hashlib
 import io
 import itertools
+import math
 import os
 import tempfile
 
@@ -160,6 +164,26 @@ def real_outputs(X, d, seed):
     Y = X @ gen.standard_normal((X.shape[1], d)) + gen.standard_normal((X.shape[0], d))
     Y[gen.random(Y.shape) < 0.33] = 0.0
     return Y
+
+
+def run_rademacher(X, Y):
+    """Continuous outputs under a sparse rademacher map (s = sqrt(d)), with
+    the training outputs given dense and as CSR, so that a change in the
+    order in which the projection adds its terms shows."""
+    train_X, train_Y = X[:200], Y[:200]
+    query = X[200:]
+    cfg = EnsembleConfig(
+        t=5,
+        tree=TreeConfig(k=8, n_min=2),
+        projection=ProjectionSpec("rademacher", 16, s=math.sqrt(Y.shape[1])),
+        policy="per_tree_subspace",
+        master_seed=17,
+    )
+    for storage in ("dense", "csr"):
+        Ys = sp.csr_matrix(train_Y) if storage == "csr" else train_Y
+        ensemble, _ = _fit_arrays(train_X, Ys, cfg, cfg.master_seed, cfg.master_seed)
+        print("real-wide per_tree_subspace rademacher-sqrt_d exhaustive no-bootstrap",
+              storage, digest(ensemble, query))
 
 
 def run_yeast():
@@ -305,6 +329,8 @@ def main():
     run_grid("wide-m64", X, Y, 64, 8, WIDE_POLICIES[:1], ("exhaustive",))
     X, _ = sparse_features(260, 12, 10, seed=7)
     run_real_grid(X, real_outputs(X, 10, seed=7), 3, 4)
+    X, _ = sparse_features(260, 12, 40, seed=9)
+    run_rademacher(X, real_outputs(X, 40, seed=9))
     run_yeast()
     run_decomposition()
     run_io()
