@@ -18,6 +18,7 @@ from projforest import (
     jl_min_dimension,
     pca_projection,
     project,
+    to_dense,
     variance_sum,
 )
 
@@ -44,14 +45,16 @@ for spec in (
     ProjectionSpec("identity_subsample", m),
 ):
     phi = generate(spec, d, RngStream(1, 0))
-    dense = phi.toarray()
+    dense = to_dense(phi)
     print(
         f"  {spec.kind:<20} (s={spec.s:>5.1f}) "
         f"nonzero fraction {np.mean(dense != 0):.3f}, "
         f"entry range [{dense.min():+.3f}, {dense.max():+.3f}]"
     )
 phi_pca = pca_projection(Y, 5)
-print(f"  {'pca':<20} top-5 eigenvalues {np.round(phi_pca.eigenvalues, 3)}")
+# The label variance along each principal direction is its eigenvalue.
+variances = project(phi_pca, Y).var(axis=0)
+print(f"  {'pca':<20} top-5 component variances {np.round(variances, 3)}")
 
 print("\nexhaustive pairwise distortion check, gaussian maps:")
 v_orig = variance_sum(Y)

@@ -10,7 +10,6 @@ from .data import DataSet, as_feature_matrix, as_label_matrix, to_dense
 from .rng import RngStream
 from .projection import (
     DistortionReport,
-    ProjectionMatrix,
     ProjectionSpec,
     distortion_check,
     generate,
@@ -64,7 +63,6 @@ __all__ = [
     "EnsembleConfig",
     "ExperimentConfig",
     "FitTiming",
-    "ProjectionMatrix",
     "ProjectionSpec",
     "RngStream",
     "SplitPlan",

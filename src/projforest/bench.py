@@ -22,6 +22,7 @@ import re
 import time
 from dataclasses import dataclass, field
 
+from .data import check_integer
 from .datasets import SplitPlan, load_svmlight_multilabel, make_splits
 from .ensemble import EnsembleConfig, fit_timed
 from .metrics import lrap
@@ -139,7 +140,8 @@ class ExperimentConfig:
     ``fit_repeats`` refits every grid point that many times per split with
     fresh master seeds: repeated randomized runs on one fixed split
     (``fixed_holdout`` plus ``fit_repeats = 10``) and fresh-split repetitions
-    (``shuffled_repeats``) are both expressible.
+    (``shuffled_repeats``) are both expressible.  ``seed`` must be an
+    integer >= 0 and ``fit_repeats`` one >= 1.
     """
 
     data: str
@@ -156,8 +158,8 @@ class ExperimentConfig:
             self.grid.setdefault(axis, [default])
         if any(len(v) == 0 for v in self.grid.values()):
             raise ValueError("grid axes must be non-empty")
-        if self.fit_repeats < 1:
-            raise ValueError("fit_repeats must be >= 1")
+        check_integer("seed", self.seed, 0)
+        check_integer("fit_repeats", self.fit_repeats, 1)
 
 
 def experiment_from_config(text, data=None, seed=None):

@@ -13,6 +13,13 @@ def check_integer(name, value, minimum):
         raise ValueError("{} must be >= {}, got {}".format(name, minimum, value))
 
 
+def check_finite(A, message):
+    """Raise ``ValueError(message)`` if a dense or sparse A holds a non-finite
+    value (a sparse matrix is checked by its stored entries)."""
+    if not np.isfinite(A.tocsr().data if sp.issparse(A) else A).all():
+        raise ValueError(message)
+
+
 def as_feature_matrix(X):
     """Canonicalize an input matrix to float64, dense ndarray or CSR.
 
@@ -23,14 +30,12 @@ def as_feature_matrix(X):
         X = X.tocsr().astype(np.float64)
         X.sum_duplicates()
         X.eliminate_zeros()
-        if not np.all(np.isfinite(X.data)):
-            raise ValueError("feature matrix contains non-finite values")
+        check_finite(X, "feature matrix contains non-finite values")
         return X
     X = np.ascontiguousarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError("feature matrix must be 2-dimensional")
-    if not np.all(np.isfinite(X)):
-        raise ValueError("feature matrix contains non-finite values")
+    check_finite(X, "feature matrix contains non-finite values")
     X = X.view()
     X.setflags(write=False)
     return X
@@ -103,10 +108,6 @@ class DataSet:
     def n_labels(self):
         return self.Y.shape[1]
 
-    @property
-    def is_view(self):
-        return self._indices is not None
-
     def rows(self):
         """Absolute backing-row ids for this view, in view order."""
         if self._indices is None:
@@ -149,7 +150,6 @@ class DataSet:
         return self.Y[self._indices]
 
     def __repr__(self):
-        kind = "view" if self.is_view else "dataset"
-        return "DataSet({}: n={}, p={}, d={})".format(
-            kind, self.n_samples, self.n_features, self.n_labels
+        return "DataSet(n={}, p={}, d={})".format(
+            self.n_samples, self.n_features, self.n_labels
         )

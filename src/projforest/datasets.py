@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .data import DataSet
+from .data import DataSet, check_integer
 
 SPLIT_MODES = ("fixed_holdout", "shuffled_repeats", "kfold")
 
@@ -510,7 +510,9 @@ class SplitPlan:
     ``fixed_holdout`` makes one shuffled split of the given sizes;
     ``shuffled_repeats`` repeats that ``count`` times with fresh shuffles;
     ``kfold`` partitions the samples into ``folds`` folds, each serving as
-    the test set once.
+    the test set once.  ``n_train`` and ``n_test`` must be None or integers
+    >= 1, ``count`` an integer >= 1, ``folds`` one >= 2 and ``seed`` one
+    >= 0, whatever the mode.
     """
 
     mode: str
@@ -523,10 +525,12 @@ class SplitPlan:
     def __post_init__(self):
         if self.mode not in SPLIT_MODES:
             raise ValueError("unknown split mode: {!r}".format(self.mode))
-        if self.mode == "kfold" and self.folds < 2:
-            raise ValueError("kfold needs at least 2 folds")
-        if self.mode == "shuffled_repeats" and self.count < 1:
-            raise ValueError("shuffled_repeats needs count >= 1")
+        for name in ("n_train", "n_test"):
+            if getattr(self, name) is not None:
+                check_integer(name, getattr(self, name), 1)
+        check_integer("count", self.count, 1)
+        check_integer("folds", self.folds, 2)
+        check_integer("seed", self.seed, 0)
 
 
 def make_splits(ds, plan):
@@ -537,9 +541,9 @@ def make_splits(ds, plan):
     if plan.mode in ("fixed_holdout", "shuffled_repeats"):
         if plan.n_train is None:
             raise ValueError("{} needs n_train".format(plan.mode))
-        n_train = int(plan.n_train)
-        n_test = int(plan.n_test) if plan.n_test is not None else n - n_train
-        if n_train < 1 or n_test < 1 or n_train + n_test > n:
+        n_train = plan.n_train
+        n_test = plan.n_test if plan.n_test is not None else n - n_train
+        if n_test < 1 or n_train + n_test > n:
             raise ValueError(
                 "split sizes {}+{} are inconsistent with n={}".format(
                     n_train, n_test, n

@@ -142,17 +142,21 @@ def _collect_predictions(problem, cfg, n_ls, n_phi, n_eps, seed):
 
 
 def _terms_from_stats(h_ls, valgo_ls, vproj_ls, a_ls, fb, sigma2, n_phi, n_eps, idx):
-    k = idx.size
-    v_algo = valgo_ls[idx].mean(axis=0)
-    v_proj = vproj_ls[idx].mean(axis=0)
-    fbar = h_ls[idx].mean(axis=0)
-    dev = h_ls[idx] - fbar
-    vls_raw = np.einsum("iqd,iqd->q", dev, dev) / (k - 1)
+    """Every term from the learning samples ``idx`` (last axis) of the
+    per-sample statistics; leading axes of ``idx`` carry through, one set of
+    terms per index row."""
+    k = idx.shape[-1]
+    v_algo = valgo_ls[idx].mean(axis=-2)
+    v_proj = vproj_ls[idx].mean(axis=-2)
+    h = h_ls[idx]
+    fbar = h.mean(axis=-3)
+    dev = h - fbar[..., None, :, :]
+    vls_raw = np.einsum("...iqd,...iqd->...q", dev, dev) / (k - 1)
     v_ls = vls_raw - (v_proj + v_algo / n_eps) / n_phi
     # The plug-in bias ||fbar - f_B||^2 overshoots by Var(fbar); vls_raw / k
     # estimates exactly that, so subtracting it debiases the term.
-    bias_sq = np.einsum("qd,qd->q", fbar - fb, fbar - fb) - vls_raw / k
-    total_direct = sigma2 + a_ls[idx].mean(axis=0)
+    bias_sq = np.einsum("...qd,...qd->...q", fbar - fb, fbar - fb) - vls_raw / k
+    total_direct = sigma2 + a_ls[idx].mean(axis=-2)
     total_decomposed = sigma2 + bias_sq + v_ls + v_algo + v_proj
     return {
         "residual_variance": sigma2,
@@ -167,6 +171,10 @@ def _terms_from_stats(h_ls, valgo_ls, vproj_ls, a_ls, fb, sigma2, n_phi, n_eps, 
 
 
 def _report_from_predictions(problem, P, master, n_bootstrap=200):
+    """Point estimates and bootstrap standard errors from the prediction
+    tensor.  The ``n_bootstrap`` resamples of the learning samples are drawn
+    from ``master`` in one call and scored in one array pass, which holds
+    (n_bootstrap, n_ls, q, d) arrays: 0.5 MB at n_ls=30, q=5, d=2."""
     n_ls, n_phi, n_eps, q, d = P.shape
     fb = problem.conditional_mean(problem.probes)
     sigma2 = problem.residual_variance(problem.probes)
@@ -182,28 +190,20 @@ def _report_from_predictions(problem, P, master, n_bootstrap=200):
     dev_fb = P - fb
     a_ls = np.einsum("ijlqd,ijlqd->iq", dev_fb, dev_fb) / (n_phi * n_eps)
 
-    full = np.arange(n_ls)
-    point = _terms_from_stats(
-        h_ls, valgo_ls, vproj_ls, a_ls, fb, sigma2, n_phi, n_eps, full
-    )
-
-    boot = {term: np.empty((n_bootstrap, q)) for term in TERMS}
-    for b in range(n_bootstrap):
-        idx = master.integers(0, n_ls, size=n_ls)
-        terms_b = _terms_from_stats(
-            h_ls, valgo_ls, vproj_ls, a_ls, fb, sigma2, n_phi, n_eps, idx
-        )
-        for term in TERMS:
-            boot[term][b] = terms_b[term]
+    stats = (h_ls, valgo_ls, vproj_ls, a_ls, fb, sigma2, n_phi, n_eps)
+    point = _terms_from_stats(*stats, np.arange(n_ls))
+    boot = _terms_from_stats(*stats, master.integers(0, n_ls, size=(n_bootstrap, n_ls)))
 
     report = DecompositionReport(
         probes=problem.probes, n_ls=n_ls, n_phi=n_phi, n_eps=n_eps
     )
     for term in TERMS:
+        # The residual variance is known, so one (q,) row serves every replicate.
+        replicates = boot[term] + np.zeros((n_bootstrap, q))
         report.estimates[term] = np.asarray(point[term], dtype=np.float64) + np.zeros(q)
-        report.se[term] = boot[term].std(axis=0, ddof=1)
+        report.se[term] = replicates.std(axis=0, ddof=1)
         report.mean_estimate[term] = float(np.mean(point[term]))
-        report.mean_se[term] = float(boot[term].mean(axis=1).std(ddof=1))
+        report.mean_se[term] = float(replicates.mean(axis=1).std(ddof=1))
     return report
 
 

@@ -14,6 +14,8 @@ bounded at any n and the cost is that of one 2-D sort per chunk.
 import numpy as np
 import scipy.sparse as sp
 
+from .data import check_finite
+
 # Most (row, label) entries scored in one vectorized pass.
 LRAP_CHUNK = 1 << 18
 
@@ -79,12 +81,10 @@ def lrap(scores, Y, return_retained=False):
         raise ValueError(
             "scores have shape {}, labels have {}".format(scores.shape, Y.shape)
         )
-    if not np.all(np.isfinite(scores)):
-        raise ValueError("scores must be finite")
+    check_finite(scores, "scores must be finite")
     if sparse:
         Y = Y.tocsr()
-    if not np.all(np.isfinite(Y.data if sparse else Y)):
-        raise ValueError("labels must be finite")
+    check_finite(Y, "labels must be finite")
     total = 0.0
     retained = 0
     step = max(1, LRAP_CHUNK // max(d, 1))

@@ -1,10 +1,12 @@
 """Random linear maps that compress label vectors before split scoring.
 
-A projection matrix maps d-dimensional label vectors to m dimensions.  Split
-scores computed on the compressed vectors approximate the original scores
-whenever the map approximately preserves pairwise squared distances of the
-training outputs (the Johnson-Lindenstrauss regime), which is what
-:func:`distortion_check` measures.
+A projection is a plain (m, d) matrix, a dense ndarray or (for the
+``identity`` and ``identity_subsample`` maps) a CSR matrix, that maps
+d-dimensional label vectors to m dimensions.  Split scores computed on the
+compressed vectors approximate the original scores whenever the map
+approximately preserves pairwise squared distances of the training outputs
+(the Johnson-Lindenstrauss regime), which is what :func:`distortion_check`
+measures.
 """
 
 import math
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .data import check_integer, to_dense
+from .data import check_finite, check_integer, to_dense
 
 KINDS = (
     "gaussian",
@@ -53,31 +55,6 @@ class ProjectionSpec:
             raise ValueError("rademacher sparsity s must satisfy 1/s in (0, 1]")
 
 
-class ProjectionMatrix:
-    """A realized m x d linear map with dense or sparse storage."""
-
-    def __init__(self, kind, matrix):
-        self.kind = kind
-        self.matrix = matrix
-
-    @property
-    def m(self):
-        return self.matrix.shape[0]
-
-    @property
-    def d(self):
-        return self.matrix.shape[1]
-
-    def toarray(self):
-        return to_dense(self.matrix)
-
-    def __repr__(self):
-        storage = "sparse" if sp.issparse(self.matrix) else "dense"
-        return "ProjectionMatrix(kind={!r}, m={}, d={}, {})".format(
-            self.kind, self.m, self.d, storage
-        )
-
-
 def _sylvester_rows(row_ids, n_cols):
     """Rows of the order-N Sylvester Hadamard matrix, truncated to n_cols.
 
@@ -95,7 +72,8 @@ def _sylvester_rows(row_ids, n_cols):
 
 
 def generate(spec, d, rng):
-    """Realize an m x d projection matrix of the requested kind.
+    """Realize an (m, d) projection matrix of the requested kind: a dense
+    ndarray, or a CSR matrix for ``identity`` and ``identity_subsample``.
 
     Deterministic under a fixed stream.  ``hadamard_subsample`` and
     ``identity_subsample`` sample rows without replacement and therefore
@@ -108,48 +86,38 @@ def generate(spec, d, rng):
     gen = rng.generator
 
     if spec.kind == "gaussian":
-        mat = gen.standard_normal((m, d)) / math.sqrt(m)
-        return ProjectionMatrix("gaussian", mat)
+        return gen.standard_normal((m, d)) / math.sqrt(m)
 
     if spec.kind == "rademacher":
         s = float(spec.s)
         u = gen.random((m, d))
         scale = math.sqrt(s / m)
-        mat = np.where(u < 0.5 / s, -scale, np.where(u >= 1.0 - 0.5 / s, scale, 0.0))
-        return ProjectionMatrix("rademacher", mat)
+        return np.where(u < 0.5 / s, -scale, np.where(u >= 1.0 - 0.5 / s, scale, 0.0))
 
     if spec.kind == "hadamard_subsample":
         if m > d:
             raise ValueError("hadamard_subsample requires m <= d")
         order = 1 << max(0, (d - 1).bit_length())
         rows = gen.choice(order, size=m, replace=False)
-        mat = _sylvester_rows(rows, d) / math.sqrt(m)
-        return ProjectionMatrix("hadamard_subsample", mat)
+        return _sylvester_rows(rows, d) / math.sqrt(m)
 
     if spec.kind == "identity_subsample":
         if m > d:
             raise ValueError("identity_subsample requires m <= d")
         cols = gen.choice(d, size=m, replace=False)
-        mat = sp.csr_matrix(
+        return sp.csr_matrix(
             (np.ones(m), (np.arange(m), cols)), shape=(m, d), dtype=np.float64
         )
-        return ProjectionMatrix("identity_subsample", mat)
 
     if spec.kind == "identity":
         if m != d:
             raise ValueError("identity projection requires m == d")
-        return ProjectionMatrix("identity", sp.identity(d, dtype=np.float64, format="csr"))
+        return sp.identity(d, dtype=np.float64, format="csr")
 
     if spec.kind == "pca":
         raise ValueError("pca projections are data-dependent; use pca_projection")
 
     raise ValueError("unknown projection kind: {!r}".format(spec.kind))
-
-
-def check_finite_labels(Y):
-    """Reject a dense or sparse Y holding a non-finite value."""
-    if not np.isfinite(Y.tocsr().data if sp.issparse(Y) else Y).all():
-        raise ValueError("Y contains non-finite values")
 
 
 def project(phi, Y):
@@ -159,12 +127,11 @@ def project(phi, Y):
     exploited, so the cost is proportional to nnz(Y) * m for dense maps.
     A non-finite value in ``Y`` is rejected.
     """
-    if Y.shape[1] != phi.d:
-        raise ValueError(
-            "Y has {} columns but projection expects {}".format(Y.shape[1], phi.d)
-        )
-    check_finite_labels(Y)
-    return to_dense(Y @ phi.matrix.T)
+    if Y.shape[1] != phi.shape[1]:
+        raise ValueError("Y has {} columns but projection expects {}".format(
+            Y.shape[1], phi.shape[1]))
+    check_finite(Y, "Y contains non-finite values")
+    return to_dense(Y @ phi.T)
 
 
 def jl_min_dimension(epsilon, n):
@@ -181,7 +148,8 @@ def jl_min_dimension(epsilon, n):
 
 
 def pca_projection(Y, m):
-    """Top-m principal directions of the centered label matrix, as a projection.
+    """Top-m principal directions of the centered label matrix, as the (m, d)
+    array of components.
 
     Rows are ordered by decreasing eigenvalue of the (population) covariance.
     Deterministic: exact eigenvalue ties are broken by the lowest index of the
@@ -190,7 +158,7 @@ def pca_projection(Y, m):
     is rejected.
     """
     n, d = Y.shape
-    check_finite_labels(Y)
+    check_finite(Y, "Y contains non-finite values")
     if d > 5000:
         raise ValueError("pca_projection is intended for d <= 5000")
     if m > min(n, d):
@@ -206,14 +174,11 @@ def pca_projection(Y, m):
     # Stable order: decreasing eigenvalue, then lowest anchor coordinate.
     order = np.lexsort((anchors, -eigvals))
     comps = comps[order][:m].copy()
-    eigvals = eigvals[order][:m].copy()
     anchors = anchors[order][:m]
     signs = np.sign(comps[np.arange(m), anchors])
     signs[signs == 0] = 1.0
     comps *= signs[:, None]
-    phi = ProjectionMatrix("pca", comps)
-    phi.eigenvalues = eigvals
-    return phi
+    return comps
 
 
 @dataclass

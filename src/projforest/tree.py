@@ -35,8 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .data import check_integer, to_dense
-from .projection import check_finite_labels, project
+from .data import check_finite, check_integer, to_dense
+from .projection import project
 
 SPLITTERS = ("exhaustive", "random_threshold")
 
@@ -430,8 +430,7 @@ class Tree:
                     X.shape, self.n_features
                 )
             )
-        if not np.isfinite(X).all():
-            raise ValueError("X contains non-finite values")
+        check_finite(X, "X contains non-finite values")
         return X
 
     def apply(self, X, *, checked=False):
@@ -501,7 +500,9 @@ class Tree:
 
     def _check_structure(self):
         """Reject arrays that do not encode one binary tree, so that routing
-        always ends at a leaf and every leaf has its own ``leaf_values`` row."""
+        always ends at a leaf and every leaf has its own ``leaf_values`` row,
+        and non-finite thresholds or leaf values, which would route or
+        predict silently wrong."""
         n = self.n_nodes
         per_node = (self.threshold, self.children_left, self.children_right,
                     self.leaf_id)
@@ -520,6 +521,8 @@ class Tree:
         if not np.array_equal(np.sort(self.leaf_id[~split]), np.arange(self.n_leaves)):
             raise ValueError("tree document: leaf_id is not one-to-one onto "
                              "the leaf_values rows")
+        check_finite(self.threshold, "tree document: a threshold is not finite")
+        check_finite(self.leaf_values, "tree document: a leaf value is not finite")
 
 
 def _leaf_sums(Y, leaf_of_row, multiplicity, n_leaves):
@@ -548,13 +551,6 @@ def _leaf_sums(Y, leaf_of_row, multiplicity, n_leaves):
     return sums
 
 
-def check_finite(X, Y):
-    """Reject a dense X or a dense or sparse Y holding a non-finite value."""
-    if not np.isfinite(X).all():
-        raise ValueError("X contains non-finite values")
-    check_finite_labels(Y)
-
-
 def grow_arrays(X, Y, phi, cfg, rng, Z=None):
     """Grow one tree from raw matrices.
 
@@ -575,16 +571,17 @@ def grow_arrays(X, Y, phi, cfg, rng, Z=None):
     d = Y.shape[1]
     if Y.shape[0] != n:
         raise ValueError("X and Y row counts differ")
-    if phi is not None and phi.d != d:
+    if phi is not None and phi.shape[1] != d:
         raise ValueError(
-            "projection expects {} label columns, Y has {}".format(phi.d, d)
+            "projection expects {} label columns, Y has {}".format(phi.shape[1], d)
         )
     if cfg.k > p:
         raise ValueError("k={} exceeds the {} available features".format(cfg.k, p))
     if n == 0:
         raise ValueError("cannot grow a tree on an empty sample")
     X = to_dense(X)
-    check_finite(X, Y)
+    check_finite(X, "X contains non-finite values")
+    check_finite(Y, "Y contains non-finite values")
 
     if Z is None:
         Z = project(phi, Y) if phi is not None else to_dense(Y)

@@ -91,6 +91,15 @@ class TestConfigParsing:
                 data="x", plan=SplitPlan("kfold"), grid={"depth": ["3"]}
             )
 
+    @pytest.mark.parametrize("field, value", [
+        ("seed", 1.5), ("seed", -1), ("seed", True), ("seed", "0"),
+        ("fit_repeats", 2.5), ("fit_repeats", 0), ("fit_repeats", True),
+        ("fit_repeats", None),
+    ])
+    def test_fields_must_be_integers_in_range(self, field, value):
+        with pytest.raises(ValueError, match="^{} must be".format(field)):
+            ExperimentConfig(data="x", plan=SplitPlan("kfold"), **{field: value})
+
 
 class TestSymbolResolution:
     def test_m_symbols(self):

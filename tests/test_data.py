@@ -82,8 +82,39 @@ class TestDataSet:
         with pytest.raises(ValueError):
             DataSet(np.array([[np.nan, 0.0], [0.0, 1.0]]), Y)
 
+    @pytest.mark.parametrize("X, Y, message", [
+        (np.zeros((3, 0)), np.eye(3), "at least one feature"),
+        (np.zeros((3, 2)), np.zeros((3, 0)), "at least one feature"),
+        (np.zeros((3, 2)), np.zeros(3), "label matrix must be 2-dimensional"),
+        (np.zeros((3, 2)), np.zeros((3, 2, 1)), "label matrix must be 2-dimensional"),
+    ], ids=["no-features", "no-labels", "1-D-labels", "3-D-labels"])
+    def test_rejects_bad_shapes(self, X, Y, message):
+        with pytest.raises(ValueError, match=message):
+            DataSet(X, Y)
+
+    def test_row_indices_must_be_one_dimensional(self):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            small_dataset().row_slice([[0, 1]])
+
+    def test_repr(self):
+        assert repr(small_dataset().row_slice([0, 0])) == "DataSet(n=2, p=2, d=2)"
+
 
 class TestConversions:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("storage", ["dense", "csr", "coo"])
+    def test_non_finite_features_rejected(self, storage, value):
+        A = np.eye(3)
+        A[1, 2] = value
+        wrap = {"dense": np.asarray, "csr": sp.csr_matrix, "coo": sp.coo_matrix}[storage]
+        with pytest.raises(ValueError, match="feature matrix contains non-finite values"):
+            as_feature_matrix(wrap(A))
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 3, 1)])
+    def test_feature_matrix_must_be_2d(self, shape):
+        with pytest.raises(ValueError, match="2-dimensional"):
+            as_feature_matrix(np.zeros(shape))
+
     def test_round_trip_is_lossless(self):
         gen = np.random.default_rng(0)
         A = gen.random((7, 5))

@@ -485,3 +485,21 @@ class TestSplits:
     def test_bad_mode(self):
         with pytest.raises(ValueError):
             SplitPlan("leave_one_out")
+
+    @pytest.mark.parametrize("field, value", [
+        ("n_train", 10.7), ("n_train", True), ("n_train", 0), ("n_train", "10"),
+        ("n_test", 2.0), ("n_test", False), ("n_test", 0),
+        ("count", 2.5), ("count", 0), ("count", True),
+        ("folds", 2.5), ("folds", 1), ("folds", np.bool_(True)),
+        ("seed", 1.5), ("seed", -1), ("seed", True),
+    ])
+    @pytest.mark.parametrize("mode", ["fixed_holdout", "shuffled_repeats", "kfold"])
+    def test_fields_must_be_integers_in_range(self, mode, field, value):
+        with pytest.raises(ValueError, match="^{} must be".format(field)):
+            SplitPlan(mode, **{field: value})
+
+    def test_numpy_integers_accepted(self):
+        ds = make_synthetic_multilabel(20, 3, 4, seed=7)
+        plan = SplitPlan("shuffled_repeats", n_train=np.int64(12), n_test=np.int32(5),
+                         count=np.int64(2), folds=np.int64(3), seed=np.uint8(4))
+        assert [train.n_samples for train, _ in make_splits(ds, plan)] == [12, 12]

@@ -9,6 +9,7 @@ from projforest import (
     estimate_ensemble,
     two_feature_problem,
 )
+from projforest import decomposition
 from projforest.decomposition import TERMS
 
 from support import deterministic_grid_problem
@@ -100,6 +101,27 @@ class TestEstimatorStructure:
                 one_tree(TreeConfig(k=2, n_min=25, **ET), ProjectionSpec("gaussian", 1)),
                 n_ls=1, n_phi=3, n_eps=3,
             )
+
+    @pytest.mark.parametrize("n_ls", [2, 6, 30])
+    def test_bootstrap_pass_equals_one_resample_at_a_time(self, n_ls):
+        # Reference: each replicate drawn alone, in order, from the same
+        # generator, and estimated as the point estimate of its resampled
+        # learning samples.
+        problem = two_feature_problem()
+        P = np.random.default_rng(n_ls).random((n_ls, 3, 4, 5, 2))
+        report = decomposition._report_from_predictions(
+            problem, P, np.random.default_rng(7), n_bootstrap=40)
+        master = np.random.default_rng(7)
+        replicates = [
+            decomposition._report_from_predictions(
+                problem, P[master.integers(0, n_ls, size=n_ls)],
+                np.random.default_rng(0), n_bootstrap=2).estimates
+            for _ in range(40)
+        ]
+        for term in TERMS:
+            boot = np.array([r[term] for r in replicates])
+            np.testing.assert_array_equal(report.se[term], boot.std(axis=0, ddof=1))
+            assert report.mean_se[term] == boot.mean(axis=1).std(ddof=1)
 
     def test_csv_export(self, tmp_path):
         problem = two_feature_problem(n_probes=2)

@@ -61,7 +61,7 @@ class TestPolicies:
         cfg = config("per_tree_subspace", t=3)
         phis = [generate(cfg.projection, 8, RngStream(cfg.master_seed, j))
                 for j in range(3)]
-        mats = [to_dense(phi.matrix) for phi in phis]
+        mats = [to_dense(phi) for phi in phis]
         assert not np.array_equal(mats[0], mats[1])
         assert not np.array_equal(mats[0], mats[2])
         assert not np.array_equal(mats[1], mats[2])
@@ -79,7 +79,7 @@ class TestPolicies:
         ds = small_data(seed=4)
         cfg = config("per_tree_subspace", kind="pca", m=2, t=2)
         phi = pca_projection(ds.Y_rows(), 2)
-        assert phi.kind == "pca"
+        assert phi.shape == (2, 8)
         ens = assert_trees_follow_seed_discipline(ds, cfg, [phi] * 2)
         preds = ens.predict(ds.X_rows())
         assert preds.shape == (60, 8)
@@ -254,6 +254,10 @@ class TestSaveLoad:
                                doc["trees"][0]["children_left"][0]),
          "no parent or two"),
         (lambda doc: repeat_first_leaf_id(doc["trees"][0]), "leaf_id"),
+        (lambda doc: doc["trees"][1]["threshold"].__setitem__(0, float("nan")),
+         "threshold is not finite"),
+        (lambda doc: doc["trees"][0]["leaf_values"][0].__setitem__(0, float("inf")),
+         "leaf value is not finite"),
         (lambda doc: doc.update(t=5), "t=5"),
         (lambda doc: doc["trees"][1].update(n_features=doc["trees"][1]["n_features"] + 1),
          "feature or label count"),
@@ -261,7 +265,7 @@ class TestSaveLoad:
             leaf_values=[row[:-1] for row in doc["trees"][1]["leaf_values"]]),
          "feature or label count"),
     ], ids=["cycle-to-root", "child-out-of-range", "two-parents", "leaf-id-repeated",
-            "t-mismatch", "n-features-mismatch", "label-count-mismatch"])
+            "nan-threshold", "inf-leaf-value", "t-mismatch", "n-features-mismatch", "label-count-mismatch"])
     def test_corrupt_model_rejected(self, tmp_path, mutate, message):
         ens = fit(small_data(seed=13), config("per_tree_subspace", t=2))
         path = tmp_path / "model.json"

@@ -109,6 +109,12 @@ class TestProperties:
             lrap(np.zeros(shape), np.ones((2, 3)))
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_scores_rejected(self, value):
+        scores = np.array([[value, 0.5, 0.1], [0.2, 0.8, 0.4]])
+        with pytest.raises(ValueError, match="scores must be finite"):
+            lrap(scores, np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_labels_rejected(self, value):
         scores = np.random.default_rng(4).random((2, 3))
         Y = np.array([[value, 0.0, 0.0], [1.0, 0.0, 0.0]])

@@ -1,10 +1,11 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
 from projforest import (
-    ProjectionMatrix,
     ProjectionSpec,
     RngStream,
     distortion_check,
@@ -27,6 +28,11 @@ def random_sparse_labels(n, d, density, seed):
 
 
 class TestSpec:
+    @pytest.mark.parametrize("kind", ["bogus", "Gaussian", None])
+    def test_unknown_kind_rejected(self, kind):
+        with pytest.raises(ValueError, match="unknown projection kind"):
+            ProjectionSpec(kind, 2)
+
     @pytest.mark.parametrize("value", [0, -1, 2.5, 2.0, True, "2", None])
     def test_m_must_be_a_positive_integer(self, value):
         with pytest.raises(ValueError, match="^m must be"):
@@ -45,18 +51,18 @@ class TestSpec:
 
     def test_numpy_integer_m_accepted(self):
         phi = generate(ProjectionSpec("gaussian", np.int64(3)), 5, RngStream(0, 0))
-        assert phi.m == 3
+        assert phi.shape == (3, 5)
 
 
 class TestGenerate:
     def test_rademacher_s1_entries(self):
         phi = generate(ProjectionSpec("rademacher", 4, s=1.0), 8, RngStream(0, 0))
-        values = to_dense(phi.matrix)
-        assert set(np.unique(values)) == {-0.5, 0.5}
+        assert set(np.unique(phi)) == {-0.5, 0.5}
 
     def test_identity_is_exact(self):
         phi = generate(ProjectionSpec("identity", 6), 6, RngStream(0, 0))
-        np.testing.assert_array_equal(phi.toarray(), np.eye(6))
+        assert sp.issparse(phi)
+        np.testing.assert_array_equal(to_dense(phi), np.eye(6))
 
     def test_identity_requires_m_equals_d(self):
         with pytest.raises(ValueError):
@@ -64,12 +70,11 @@ class TestGenerate:
 
     def test_rademacher_s3_zero_fraction(self):
         phi = generate(ProjectionSpec("rademacher", 100, s=3.0), 100, RngStream(1, 0))
-        values = phi.toarray()
-        zero_fraction = np.mean(values == 0.0)
+        assert isinstance(phi, np.ndarray)
+        zero_fraction = np.mean(phi == 0.0)
         assert abs(zero_fraction - 2.0 / 3.0) <= 0.02
         scale = np.sqrt(3.0 / 100.0)
-        assert set(np.unique(values)) <= {-scale, 0.0, scale}
-        assert isinstance(phi.matrix, np.ndarray)
+        assert set(np.unique(phi)) <= {-scale, 0.0, scale}
 
     def test_rademacher_invalid_s(self):
         with pytest.raises(ValueError):
@@ -84,20 +89,30 @@ class TestGenerate:
         with pytest.raises(ValueError):
             generate(ProjectionSpec("pca", 2), 8, RngStream(0, 0))
 
+    @pytest.mark.parametrize("spec, d, message", [
+        (ProjectionSpec("gaussian", 2), 0, "output dimension d must be >= 1"),
+        # A spec-like object that skipped ProjectionSpec's validation.
+        (SimpleNamespace(kind="bogus", m=2, s=1.0), 4, "unknown projection kind"),
+    ], ids=["zero-d", "unvalidated-kind"])
+    def test_bad_arguments_rejected(self, spec, d, message):
+        with pytest.raises(ValueError, match=message):
+            generate(spec, d, RngStream(0, 0))
+
     def test_gaussian_entry_variance(self):
         m, d = 20, 600
         phi = generate(ProjectionSpec("gaussian", m), d, RngStream(2, 0))
-        var = phi.matrix.var()
+        var = phi.var()
         assert abs(var - 1.0 / m) <= 0.05 / m
 
     def test_deterministic_under_stream(self):
         a = generate(ProjectionSpec("gaussian", 5), 40, RngStream(3, 7))
         b = generate(ProjectionSpec("gaussian", 5), 40, RngStream(3, 7))
-        np.testing.assert_array_equal(a.matrix, b.matrix)
+        np.testing.assert_array_equal(a, b)
 
     def test_identity_subsample_rows_are_unit_vectors(self):
         phi = generate(ProjectionSpec("identity_subsample", 5), 12, RngStream(4, 0))
-        dense = phi.toarray()
+        assert sp.issparse(phi)
+        dense = to_dense(phi)
         assert dense.shape == (5, 12)
         np.testing.assert_array_equal(dense.sum(axis=1), np.ones(5))
         assert set(np.unique(dense)) == {0.0, 1.0}
@@ -120,9 +135,9 @@ class TestHadamard:
 
     def test_entries_after_scaling(self):
         phi = generate(ProjectionSpec("hadamard_subsample", 6), 20, RngStream(5, 0))
-        assert phi.toarray().shape == (6, 20)
+        assert isinstance(phi, np.ndarray) and phi.shape == (6, 20)
         expected = 1.0 / np.sqrt(6)
-        assert set(np.unique(np.abs(phi.toarray()))) == {expected}
+        assert set(np.unique(np.abs(phi))) == {expected}
 
 
 class TestProject:
@@ -133,7 +148,7 @@ class TestProject:
 
     def test_zero_map_gives_zeros(self):
         Y = random_sparse_labels(10, 6, 0.4, 1)
-        phi = ProjectionMatrix("gaussian", np.zeros((3, 6)))
+        phi = np.zeros((3, 6))
         np.testing.assert_array_equal(project(phi, Y), np.zeros((10, 3)))
 
     def test_matches_naive_triple_loop(self):
@@ -141,13 +156,12 @@ class TestProject:
         phi = generate(ProjectionSpec("gaussian", 4), 8, RngStream(6, 0))
         Z = project(phi, Y)
         Yd = to_dense(Y)
-        mat = phi.toarray()
         naive = np.zeros((12, 4))
         for i in range(12):
             for a in range(4):
                 acc = 0.0
                 for j in range(8):
-                    acc += mat[a, j] * Yd[i, j]
+                    acc += phi[a, j] * Yd[i, j]
                 naive[i, a] = acc
         err = np.abs(Z - naive).max()
         assert err <= 1e-12 * max(1.0, np.abs(naive).max())
@@ -189,15 +203,16 @@ class TestPca:
         Y = np.zeros((20, 6))
         Y[::2, 3] = 1.0
         phi = pca_projection(sp.csr_matrix(Y), 1)
-        row = phi.toarray()[0]
+        row = phi[0]
         np.testing.assert_allclose(np.abs(row), np.eye(6)[3], atol=1e-12)
         assert row[3] > 0  # sign convention
 
     def test_rank_one_correlated_labels(self):
         Y = np.zeros((30, 2))
         Y[:15] = [1.0, 1.0]
-        phi = pca_projection(sp.csr_matrix(Y), 2)
-        eig = phi.eigenvalues
+        Y = sp.csr_matrix(Y)
+        phi = pca_projection(Y, 2)
+        eig = project(phi, Y).var(axis=0)
         assert eig[0] > 0
         assert abs(eig[1]) <= 1e-12
         assert eig[0] / eig.sum() == pytest.approx(1.0, abs=1e-12)
@@ -213,19 +228,24 @@ class TestPca:
             for b in range(10):
                 cov[a, b] = np.mean((Y[:, a] - mean[a]) * (Y[:, b] - mean[b]))
         expected = np.sort(np.linalg.eigvalsh(cov))[::-1]
-        np.testing.assert_allclose(phi.eigenvalues, expected, atol=1e-8)
+        # The variance of the labels along each component is its eigenvalue.
+        np.testing.assert_allclose(project(phi, Y).var(axis=0), expected, atol=1e-8)
 
     def test_rows_orthonormal(self):
         gen = np.random.default_rng(6)
         Y = (gen.random((40, 7)) < 0.5).astype(float)
         phi = pca_projection(sp.csr_matrix(Y), 7)
-        G = phi.toarray() @ phi.toarray().T
+        G = phi @ phi.T
         np.testing.assert_allclose(G, np.eye(7), atol=1e-10)
 
     def test_m_too_large(self):
         Y = sp.csr_matrix(np.eye(4))
         with pytest.raises(ValueError):
             pca_projection(Y, 5)
+
+    def test_too_many_labels(self):
+        with pytest.raises(ValueError, match="d <= 5000"):
+            pca_projection(sp.csr_matrix((3, 5001)), 1)
 
 
 def labels_with(value, seed=1):
@@ -257,6 +277,11 @@ class TestDistortion:
             rep = distortion_check(phi, Y, eps)
             assert rep.violations == 0
             assert rep.max_ratio_error <= 1e-12
+
+    def test_needs_two_rows(self):
+        phi = generate(ProjectionSpec("gaussian", 2), 3, RngStream(8, 0))
+        with pytest.raises(ValueError, match="at least two rows"):
+            distortion_check(phi, sp.csr_matrix(np.ones((1, 3))), 0.1)
 
     def test_duplicate_rows_are_skipped(self):
         Y = sp.csr_matrix(np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))

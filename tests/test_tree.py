@@ -426,10 +426,30 @@ class TestTreeConfig:
         with pytest.raises(ValueError, match="^bootstrap must be a bool"):
             TreeConfig(k=1, bootstrap=value)
 
+    @pytest.mark.parametrize("value", ["bogus", "Exhaustive", None])
+    def test_splitter_must_be_known(self, value):
+        with pytest.raises(ValueError, match="^unknown splitter"):
+            TreeConfig(k=1, splitter=value)
+
     def test_numpy_values_accepted(self):
         cfg = TreeConfig(k=np.int64(2), n_min=np.int32(3), bootstrap=np.bool_(True))
         tree = grow_arrays(TOY_X.repeat(2, axis=1), TOY_Z, None, cfg, RngStream(0, 0))
         assert tree.leaf_counts.sum() == 4
+
+
+@pytest.mark.parametrize("search", [
+    best_split_exhaustive,
+    lambda X, Z, samples, features: best_split_random_threshold(
+        X, Z, samples, features, RngStream(0, 0)),
+], ids=["exhaustive", "random_threshold"])
+@pytest.mark.parametrize("samples, features, message", [
+    ([2], [0], "at least two samples"),
+    ([], [0], "at least two samples"),
+    ([0, 3], [], "feature subset must be non-empty"),
+])
+def test_one_shot_search_rejects_bad_nodes(search, samples, features, message):
+    with pytest.raises(ValueError, match=message):
+        search(TOY_X, TOY_Z, samples, features)
 
 
 class TestRandomThresholdSplit:
@@ -601,6 +621,14 @@ class TestGrow:
         with pytest.raises(ValueError):
             grow_arrays(TOY_X, TOY_Z, None, TreeConfig(k=2), RngStream(0, 0))
 
+    @pytest.mark.parametrize("X, Z, message", [
+        (TOY_X, TOY_Z[:3], "row counts differ"),
+        (TOY_X[:0], TOY_Z[:0], "empty sample"),
+    ], ids=["row-mismatch", "empty"])
+    def test_bad_sample_rejected(self, X, Z, message):
+        with pytest.raises(ValueError, match=message):
+            grow_arrays(X, Z, None, TreeConfig(k=1), RngStream(0, 0))
+
     def test_sparse_inputs_match_dense(self):
         gen = np.random.default_rng(9)
         X = gen.random((40, 6))
@@ -736,7 +764,7 @@ class TestPermutationCovariance:
         for kind, m in (("identity", d), ("identity_subsample", 4)):
             phi = generate(ProjectionSpec(kind, m), d, RngStream(15, 0))
             # phi_perm acts on permuted labels exactly as phi does on originals
-            phi_perm = type(phi)(phi.kind, sp.csr_matrix(phi.toarray()[:, perm]))
+            phi_perm = phi[:, perm]
             cfg = TreeConfig(k=2, n_min=4)
             base = grow_arrays(X, sp.csr_matrix(Y), phi, cfg, RngStream(15, 1))
             permuted = grow_arrays(
@@ -761,6 +789,30 @@ class TestSerialization:
         doc = {"format": Tree.FORMAT, "version": 999}
         with pytest.raises(ValueError):
             Tree.from_dict(doc)
+
+    @pytest.mark.parametrize("mutate, message", [
+        (lambda doc: doc.update(format="projforest-ensemble"), "not a serialized tree"),
+        (lambda doc: doc["threshold"].pop(), "node arrays differ in length"),
+        (lambda doc: doc["feature"].__setitem__(0, doc["n_features"]),
+         "split feature is out of range"),
+        (lambda doc: doc["threshold"].__setitem__(0, np.nan), "threshold is not finite"),
+        (lambda doc: doc["threshold"].__setitem__(0, -np.inf), "threshold is not finite"),
+        (lambda doc: doc["leaf_values"][0].__setitem__(1, np.inf),
+         "leaf value is not finite"),
+        (lambda doc: doc["leaf_values"][-1].__setitem__(0, np.nan),
+         "leaf value is not finite"),
+    ], ids=["format", "node-array-length", "feature-out-of-range", "nan-threshold",
+            "inf-threshold", "inf-leaf-value", "nan-leaf-value"])
+    def test_corrupt_document_rejected(self, mutate, message):
+        gen = np.random.default_rng(16)
+        X = gen.random((30, 3))
+        Y = sp.csr_matrix((gen.random((30, 5)) < 0.4).astype(float))
+        tree = grow_arrays(X, Y, None, TreeConfig(k=2, n_min=3), RngStream(9, 0))
+        assert tree.feature[0] >= 0
+        doc = json.loads(json.dumps(tree.to_dict()))
+        mutate(doc)
+        with pytest.raises(ValueError, match=message):
+            Tree.from_dict(json.loads(json.dumps(doc)))
 
 
 class TestAgainstSklearn:

@@ -12,11 +12,13 @@ shows whether a change keeps fits and predictions bit-identical:
 
 The narrow grid (10 labels, m=3) crosses every policy (and the PCA map
 under both projecting policies) with both splitters, bootstrap on and off,
-and dense and CSR training features.  The wide grid (40 labels) fits the
-exhaustive splitter at a split width of 16 and 40, where BLAS takes a
-different kernel than at m=3 and results can change in the last bits when
-the row count or stride of a product changes.  Its ``wide-m64`` lines fit a
-gaussian map at m=64, so that, like ``no_projection`` at m=40 and unlike
+and dense and CSR training features; its subsampling maps (rows of a
+Hadamard matrix, a dense map, and a subset of the labels, a CSR one) are
+fitted per tree with the exhaustive splitter only.  The wide grid (40
+labels) fits the exhaustive splitter at a split width of 16 and 40, where
+BLAS takes a different kernel than at m=3 and results can change in the
+last bits when the row count or stride of a product changes.  Its
+``wide-m64`` lines fit a gaussian map at m=64, so that, like ``no_projection`` at m=40 and unlike
 m=16, the scan's prefix sums run slab by slab under a projection too (k=8
 features times m outputs reach ``tree.SLAB_RECURRENCE_MIN``).  The ``yeast``
 line fits a yeast-shaped set (1000 bootstrap rows, 103 features, 14 labels,
@@ -86,6 +88,11 @@ POLICIES = (
 WIDE_POLICIES = (
     ("per_tree_subspace", "gaussian"),
     ("no_projection", None),
+)
+
+SUBSAMPLE_POLICIES = (
+    ("per_tree_subspace", "hadamard_subsample"),
+    ("per_tree_subspace", "identity_subsample"),
 )
 
 
@@ -324,6 +331,7 @@ def run_cli_lines():
 def main():
     X, Y = sparse_features(260, 12, 10, seed=3)
     run_grid("narrow", X, Y, 3, 4, POLICIES, ("exhaustive", "random_threshold"))
+    run_grid("narrow", X, Y, 3, 4, SUBSAMPLE_POLICIES, ("exhaustive",))
     X, Y = sparse_features(260, 12, 40, seed=5)
     run_grid("wide", X, Y, 16, 8, WIDE_POLICIES, ("exhaustive",))
     run_grid("wide-m64", X, Y, 64, 8, WIDE_POLICIES[:1], ("exhaustive",))
