@@ -12,12 +12,12 @@ import scipy.sparse as sp
 
 from projforest import (
     ProjectionSpec,
-    RngStream,
     distortion_check,
     generate,
     jl_min_dimension,
     pca_projection,
     project,
+    stream,
     to_dense,
     variance_sum,
 )
@@ -44,7 +44,7 @@ for spec in (
     ProjectionSpec("hadamard_subsample", m),
     ProjectionSpec("identity_subsample", m),
 ):
-    phi = generate(spec, d, RngStream(1, 0))
+    phi = generate(spec, d, stream(1, 0))
     dense = to_dense(phi)
     print(
         f"  {spec.kind:<20} (s={spec.s:>5.1f}) "
@@ -59,7 +59,7 @@ print(f"  {'pca':<20} top-5 component variances {np.round(variances, 3)}")
 print("\nexhaustive pairwise distortion check, gaussian maps:")
 v_orig = variance_sum(Y)
 for m_try in (1, 8, m):
-    phi = generate(ProjectionSpec("gaussian", m_try), d, RngStream(2, m_try))
+    phi = generate(ProjectionSpec("gaussian", m_try), d, stream(2, m_try))
     report = distortion_check(phi, Y, eps)
     v_proj = variance_sum(project(phi, Y))
     ok = report.violations == 0

@@ -7,7 +7,7 @@ compressed dimension and prediction needs no decoding.
 """
 
 from .data import DataSet, as_feature_matrix, as_label_matrix, to_dense
-from .rng import RngStream
+from .rng import stream
 from .projection import (
     DistortionReport,
     ProjectionSpec,
@@ -64,7 +64,6 @@ __all__ = [
     "ExperimentConfig",
     "FitTiming",
     "ProjectionSpec",
-    "RngStream",
     "SplitPlan",
     "SplitRecord",
     "SyntheticProblem",
@@ -93,6 +92,7 @@ __all__ = [
     "project",
     "read_grid_csv",
     "run_grid",
+    "stream",
     "summarize",
     "to_dense",
     "two_feature_problem",

@@ -37,6 +37,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .data import DataSet, check_integer
+from .rng import stream
 
 SPLIT_MODES = ("fixed_holdout", "shuffled_repeats", "kfold")
 
@@ -536,7 +537,7 @@ class SplitPlan:
 def make_splits(ds, plan):
     """List of (train view, test view) pairs, deterministic under the seed."""
     n = ds.n_samples
-    gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(plan.seed)))
+    gen = stream(plan.seed)
 
     if plan.mode in ("fixed_holdout", "shuffled_repeats"):
         if plan.n_train is None:
@@ -582,7 +583,7 @@ def make_synthetic_multilabel(
     gaussian feature noise around their centroid and rare label flips.  Useful
     for end-to-end tests and benchmarks when no real dataset is at hand.
     """
-    gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    gen = stream(seed)
     centroids = gen.standard_normal((n_clusters, p)) * 2.0
     patterns = np.zeros((n_clusters, d))
     for c in range(n_clusters):

@@ -16,7 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import check_integer
 from .ensemble import _fit_arrays
+from .rng import stream
 
 TERMS = (
     "residual_variance",
@@ -50,6 +52,10 @@ class SyntheticProblem:
     sample_outputs: callable
     residual_variance: callable
     probes: np.ndarray
+
+    def __post_init__(self):
+        if np.shape(self.probes)[0] < 1:
+            raise ValueError("a problem needs at least one probe point")
 
     def draw_learning_sample(self, gen):
         X = self.sample_inputs(gen, self.n_train)
@@ -119,19 +125,16 @@ class DecompositionReport:
 
 def _collect_predictions(problem, cfg, n_ls, n_phi, n_eps, seed):
     """Prediction tensor P[ls, phi, eps, probe, output] plus draw seeds."""
-    if min(n_ls, n_phi, n_eps) < 2:
-        raise ValueError("all repetition counts must be >= 2")
-    master = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    for name, value in (("n_ls", n_ls), ("n_phi", n_phi), ("n_eps", n_eps)):
+        check_integer(name, value, 2)
+    master = stream(seed)
     ls_seeds = master.integers(_SEED_BOUND, size=n_ls)
     phi_seeds = master.integers(_SEED_BOUND, size=(n_ls, n_phi))
     eps_seeds = master.integers(_SEED_BOUND, size=(n_ls, n_phi, n_eps))
     q = problem.probes.shape[0]
     P = np.empty((n_ls, n_phi, n_eps, q, problem.n_outputs))
     for i in range(n_ls):
-        ls_gen = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence(int(ls_seeds[i])))
-        )
-        X, Y = problem.draw_learning_sample(ls_gen)
+        X, Y = problem.draw_learning_sample(stream(int(ls_seeds[i])))
         for j in range(n_phi):
             for l in range(n_eps):
                 ens, _ = _fit_arrays(
@@ -213,7 +216,7 @@ def estimate_ensemble(problem, cfg, n_ls=30, n_phi=20, n_eps=20, seed=0):
     The middle loop redraws all projection randomness and the inner loop all
     tree randomness, so for the shared-subspace policy the projection slot
     measures the full projection variance while the per-tree policy shows it
-    suppressed by 1/t.
+    suppressed by 1/t.  Each repetition count must be an integer >= 2.
     """
     P, master = _collect_predictions(problem, cfg, n_ls, n_phi, n_eps, seed)
     return _report_from_predictions(problem, P, master)
@@ -235,19 +238,21 @@ def ensemble_variance_curve(problem, make_config, t_values, reps=400, seed=0):
 
     Every repetition redraws the learning sample and all fit randomness, so
     the measured variance includes every source.  Fits variance ~ a + b/t and
-    reports the fit quality.
+    reports the fit quality, so it needs ``reps >= 2`` and at least two
+    distinct t values.
     """
-    master = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    check_integer("reps", reps, 2)
     t_values = np.asarray(list(t_values), dtype=np.int64)
+    if np.unique(t_values).size < 2:
+        raise ValueError("t_values needs at least two distinct ensemble sizes")
+    master = stream(seed)
     variances = np.empty(t_values.size)
     q = problem.probes.shape[0]
     for ti, t in enumerate(t_values):
         cfg = make_config(int(t))
         preds = np.empty((reps, q, problem.n_outputs))
         for r in range(reps):
-            ls_gen = np.random.Generator(
-                np.random.PCG64(np.random.SeedSequence(int(master.integers(_SEED_BOUND))))
-            )
+            ls_gen = stream(int(master.integers(_SEED_BOUND)))
             X, Y = problem.draw_learning_sample(ls_gen)
             phi_seed = int(master.integers(_SEED_BOUND))
             eps_seed = int(master.integers(_SEED_BOUND))

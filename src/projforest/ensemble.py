@@ -7,10 +7,12 @@ the projection itself into an extra source of ensemble diversity.
 ``no_projection`` is the plain baseline.  Predictions are always the average
 of leaf vectors in the original label space.
 
-Seed discipline: from ``master_seed``, projection streams take ids [0, t) and
-tree-randomness streams take ids [t, 2t); the shared policy uses projection
-stream 0.  This alignment makes single-tree ensembles of both policies, and
-identity-projection vs no-projection runs, reproduce each other exactly.
+Seed discipline: every generator is ``rng.stream(seed, j)``.  Tree j projects
+with ``stream(phi_seed, j)`` and grows with ``stream(eps_seed, t + j)``;
+the shared policy uses ``stream(phi_seed, 0)`` for its one map.  A fit seeds
+both from ``master_seed``.  This alignment makes single-tree ensembles of both
+policies, and identity-projection vs no-projection runs, reproduce each
+other exactly.
 """
 
 import json
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 
 from .data import check_integer, to_dense
 from .projection import ProjectionSpec, generate, pca_projection, project
-from .rng import RngStream
+from .rng import stream
 from .tree import Tree, TreeConfig, grow_arrays
 
 POLICIES = ("shared_subspace", "per_tree_subspace", "no_projection")
@@ -161,21 +163,19 @@ def _fit_arrays(X, Y, cfg, phi_seed, eps_seed):
     and tree-randomness streams (the nested Monte Carlo harnesses vary one
     while holding the other).  Trees are grown one after another on X
     densified once.  Non-finite X or Y is rejected: Y by every projection
-    (PCA included) and both by every tree's growth."""
+    (PCA included), and X, Y and the split targets by every tree's growth."""
     X = to_dense(X)
     d = Y.shape[1]
     t = cfg.t
-    phi = z = None
+    z = None
     tic = time.perf_counter()
     if cfg.policy == "no_projection":
         z = to_dense(Y)
     elif cfg.projection.kind == "pca":
         # Data-dependent and deterministic, so both policies share one map.
-        phi = pca_projection(Y, cfg.projection.m)
-        z = project(phi, Y)
+        z = project(pca_projection(Y, cfg.projection.m), Y)
     elif cfg.policy == "shared_subspace":
-        phi = generate(cfg.projection, d, RngStream(phi_seed, 0))
-        z = project(phi, Y)
+        z = project(generate(cfg.projection, d, stream(phi_seed, 0)), Y)
     proj_time = time.perf_counter() - tic
     grow_time = 0.0
     per_tree = z is None
@@ -184,10 +184,9 @@ def _fit_arrays(X, Y, cfg, phi_seed, eps_seed):
     for j in range(t):
         if per_tree:
             tic = time.perf_counter()
-            phi = generate(cfg.projection, d, RngStream(phi_seed, j))
-            z = project(phi, Y)
+            z = project(generate(cfg.projection, d, stream(phi_seed, j)), Y)
             proj_time += time.perf_counter() - tic
         tic = time.perf_counter()
-        trees.append(grow_arrays(X, Y, phi, cfg.tree, RngStream(eps_seed, t + j), Z=z))
+        trees.append(grow_arrays(X, Y, z, cfg.tree, stream(eps_seed, t + j)))
         grow_time += time.perf_counter() - tic
     return Ensemble(trees, cfg), FitTiming(proj_time, grow_time)

@@ -71,11 +71,12 @@ def _sylvester_rows(row_ids, n_cols):
     return 1.0 - 2.0 * parity
 
 
-def generate(spec, d, rng):
+def generate(spec, d, gen):
     """Realize an (m, d) projection matrix of the requested kind: a dense
     ndarray, or a CSR matrix for ``identity`` and ``identity_subsample``.
 
-    Deterministic under a fixed stream.  ``hadamard_subsample`` and
+    Entries are drawn from the numpy Generator ``gen``, so a map is
+    deterministic under a fixed stream.  ``hadamard_subsample`` and
     ``identity_subsample`` sample rows without replacement and therefore
     require m <= d.  ``pca`` is data-dependent and must be built with
     :func:`pca_projection` instead.
@@ -83,7 +84,6 @@ def generate(spec, d, rng):
     m = spec.m
     if d < 1:
         raise ValueError("output dimension d must be >= 1")
-    gen = rng.generator
 
     if spec.kind == "gaussian":
         return gen.standard_normal((m, d)) / math.sqrt(m)

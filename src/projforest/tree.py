@@ -36,7 +36,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from .data import check_finite, check_integer, to_dense
-from .projection import project
 
 SPLITTERS = ("exhaustive", "random_threshold")
 
@@ -366,13 +365,14 @@ def best_split_exhaustive(X, Z, samples, features):
     return SplitRecord(int(feature[0]), float(threshold[0]), float(gain[0]))
 
 
-def best_split_random_threshold(X, Z, samples, features, rng):
-    """Public one-shot random-threshold split search over a node."""
+def best_split_random_threshold(X, Z, samples, features, gen):
+    """Public one-shot random-threshold split search over a node, drawing
+    its cuts from the numpy Generator ``gen``."""
     samples, features = _check_node(samples, features)
     Zs = np.asarray(Z, dtype=np.float64)[samples]
     M = Zs.sum(axis=0)
     found = _scan_random_threshold(
-        to_dense(X), Zs, M, float(M @ M), samples, features, rng.generator
+        to_dense(X), Zs, M, float(M @ M), samples, features, gen
     )
     return None if found is None else found[0]
 
@@ -551,30 +551,27 @@ def _leaf_sums(Y, leaf_of_row, multiplicity, n_leaves):
     return sums
 
 
-def grow_arrays(X, Y, phi, cfg, rng, Z=None):
+def grow_arrays(X, Y, Z, cfg, gen):
     """Grow one tree from raw matrices.
 
-    The structure is fitted on Z = project(phi, Y) (or on Y itself when
-    ``phi`` is None); leaves are labeled with means of the original Y rows
-    reaching them, bootstrap multiplicities included.  ``X`` is (n, p) dense
-    or CSR (densified; dense float64 is not copied), ``Y`` is (n, d) dense
-    or CSR; a non-finite value in either is rejected.
+    The structure is fitted on the split targets ``Z``, an (n, m) matrix
+    such as a projection ``project(phi, Y)`` or Y itself; leaves are labeled
+    with means of the original Y rows reaching them, bootstrap multiplicities
+    included.  ``X`` is (n, p), ``Y`` is (n, d) and ``Z`` is (n, m), each
+    dense or CSR (X and Z are densified; dense float64 is not copied); a
+    non-finite value in any of them is rejected.  Every draw comes from the
+    numpy Generator ``gen``.
 
-    With ``cfg.bootstrap`` the tree draws n rows with replacement from its
-    stream.  The exhaustive splitter grows on the distinct rows drawn, each
+    With ``cfg.bootstrap`` the tree draws n rows with replacement from
+    ``gen``.  The exhaustive splitter grows on the distinct rows drawn, each
     weighted by its multiplicity (a copy of their Z rows scaled in place by
     it); ``random_threshold`` grows on all n drawn rows, copies included.
-    ``Z`` may carry a precomputed projection of Y (used to time projection
-    separately from growth); otherwise it is computed here.
     """
     n, p = X.shape
-    d = Y.shape[1]
     if Y.shape[0] != n:
         raise ValueError("X and Y row counts differ")
-    if phi is not None and phi.shape[1] != d:
-        raise ValueError(
-            "projection expects {} label columns, Y has {}".format(phi.shape[1], d)
-        )
+    if Z.shape[0] != n:
+        raise ValueError("X and Z row counts differ")
     if cfg.k > p:
         raise ValueError("k={} exceeds the {} available features".format(cfg.k, p))
     if n == 0:
@@ -582,10 +579,8 @@ def grow_arrays(X, Y, phi, cfg, rng, Z=None):
     X = to_dense(X)
     check_finite(X, "X contains non-finite values")
     check_finite(Y, "Y contains non-finite values")
-
-    if Z is None:
-        Z = project(phi, Y) if phi is not None else to_dense(Y)
-    gen = rng.generator
+    check_finite(Z, "Z contains non-finite values")
+    Z = to_dense(Z)
     min_split = max(2, cfg.n_min)
 
     rows = gen.integers(0, n, size=n) if cfg.bootstrap else np.arange(n, dtype=np.int64)

@@ -10,13 +10,12 @@ from projforest import DataSet, SyntheticProblem, to_dense
 from projforest.tree import variance_sum
 
 
-def pattern_label_matrix(n, d, n_patterns, labels_per_row, rng):
+def pattern_label_matrix(n, d, n_patterns, labels_per_row, gen):
     """Binary label rows drawn from a small pool of sparse patterns.
 
     Mimics real multi-label data, where a handful of label combinations
     repeats across samples.
     """
-    gen = rng.generator
     pats = np.zeros((n_patterns, d))
     for c in range(n_patterns):
         pats[c, gen.choice(d, size=labels_per_row, replace=False)] = 1.0

@@ -17,7 +17,6 @@ from projforest import (
     EnsembleConfig,
     ExperimentConfig,
     ProjectionSpec,
-    RngStream,
     SplitPlan,
     TreeConfig,
     distortion_check,
@@ -33,6 +32,7 @@ from projforest import (
     make_synthetic_multilabel,
     project,
     run_grid,
+    stream,
     two_feature_problem,
     variance_sum,
     write_grid_csv,
@@ -84,8 +84,8 @@ def test_criterion_2_variance_transfer():
     premise_held = 0
     implication_violations = 0
     for trial in range(100):
-        Y = pattern_label_matrix(n, d, 12, 8, RngStream(0, 2 * trial))
-        phi = generate(ProjectionSpec("gaussian", m), d, RngStream(0, 2 * trial + 1))
+        Y = pattern_label_matrix(n, d, 12, 8, stream(0, 2 * trial))
+        phi = generate(ProjectionSpec("gaussian", m), d, stream(0, 2 * trial + 1))
         report = distortion_check(phi, Y, eps)
         if report.violations == 0:
             premise_held += 1
@@ -114,9 +114,9 @@ def test_criterion_3_identity_equivalence():
             60, 5, 8, n_clusters=4 + trial % 3, seed=300 + trial
         )
         tree_cfg = TreeConfig(k=2, n_min=2, bootstrap=True)
-        phi = generate(ProjectionSpec("identity", 8), 8, RngStream(trial, 0))
-        a = grow_arrays(ds.X, ds.Y, phi, tree_cfg, RngStream(trial, 1))
-        b = grow_arrays(ds.X, ds.Y, None, tree_cfg, RngStream(trial, 1))
+        phi = generate(ProjectionSpec("identity", 8), 8, stream(trial, 0))
+        a = grow_arrays(ds.X, ds.Y, project(phi, ds.Y), tree_cfg, stream(trial, 1))
+        b = grow_arrays(ds.X, ds.Y, ds.Y, tree_cfg, stream(trial, 1))
         ok = ok and trees_equal(a, b)
 
         shared = fit(

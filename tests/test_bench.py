@@ -18,6 +18,7 @@ from projforest.bench import (
     CSV_COLUMNS,
     TIMING_COLUMNS,
     experiment_from_config,
+    make_ensemble_config,
     parse_config_text,
     resolve_k,
     resolve_m,
@@ -91,6 +92,14 @@ class TestConfigParsing:
                 data="x", plan=SplitPlan("kfold"), grid={"depth": ["3"]}
             )
 
+    def test_empty_grid_axis_rejected(self):
+        with pytest.raises(ValueError, match="grid axes must be non-empty"):
+            ExperimentConfig(data="x", plan=SplitPlan("kfold"), grid={"m": []})
+
+    def test_dataset_path_required(self):
+        with pytest.raises(ValueError, match="^no dataset path: pass --data"):
+            experiment_from_config("m = 1\n")
+
     @pytest.mark.parametrize("field, value", [
         ("seed", 1.5), ("seed", -1), ("seed", True), ("seed", "0"),
         ("fit_repeats", 2.5), ("fit_repeats", 0), ("fit_repeats", True),
@@ -118,6 +127,17 @@ class TestSymbolResolution:
         assert resolve_k("sqrt_p", 72) == 8
         assert resolve_k("sqrt_p", 2407) == 49
         assert resolve_k("5", 72) == 5
+
+    def test_k_below_one_rejected(self):
+        with pytest.raises(ValueError, match="^k must be >= 1, got 0$"):
+            resolve_k("0", 72)
+
+    def test_bootstrap_must_be_a_boolean(self):
+        point = {"m": "1", "k": "2", "t": "3", "n_min": "1", "policy": "per_tree_subspace",
+                 "kind": "gaussian", "splitter": "exhaustive", "bootstrap": "maybe",
+                 "s": "1"}
+        with pytest.raises(ValueError, match="^expected a boolean, got 'maybe'$"):
+            make_ensemble_config(point, 8, 5, 0)
 
     def test_s_symbols(self):
         assert resolve_s("3", 100) == 3.0
@@ -240,6 +260,10 @@ class TestSummarize:
     def test_ambiguous_baseline(self):
         with pytest.raises(ValueError, match="ambiguous"):
             summarize(self.synthetic_rows(), baseline={"m": "x"})
+
+    def test_unknown_baseline_axis(self):
+        with pytest.raises(ValueError, match="^unknown baseline axis: 'depth'$"):
+            summarize(self.synthetic_rows(), baseline={"depth": "3"})
 
     def test_unknown_baseline(self):
         with pytest.raises(ValueError, match="matches no"):

@@ -70,6 +70,13 @@ class TestGridCommand:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    def test_missing_out_fails(self, tmp_path, capsys):
+        data = write_dataset(tmp_path)
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text(GRID_CFG)
+        assert main(["grid", "--data", str(data), "--config", str(cfg)]) == 1
+        assert "error: grid requires --out" in capsys.readouterr().err
+
 
 class TestFitCommand:
     def test_fit_and_save(self, tmp_path, capsys):
@@ -150,6 +157,12 @@ class TestSummarizeCommand:
 
     def test_requires_input(self, capsys):
         assert main(["summarize"]) == 1
+
+    def test_bad_baseline_entry_rejected(self, tmp_path, capsys):
+        rows_path = tmp_path / "rows.csv"
+        rows_path.write_text("m,lrap\n")
+        assert main(["summarize", "--data", str(rows_path), "--baseline", "policy"]) == 1
+        assert "error: baseline entries look like axis=value" in capsys.readouterr().err
 
 
 class TestDecomposeCommand:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from projforest import DataSet, RngStream, as_feature_matrix, as_label_matrix, to_dense
+from projforest import DataSet, as_feature_matrix, as_label_matrix, to_dense
 
 
 def small_dataset():
@@ -130,36 +130,3 @@ class TestConversions:
         assert A.nnz == 2
         assert as_feature_matrix(A).nnz == 1
         assert as_label_matrix(A).nnz == 1
-
-
-class TestRngStream:
-    def test_same_seed_same_sequence(self):
-        a = RngStream(123, 4).generator.random(100)
-        b = RngStream(123, 4).generator.random(100)
-        np.testing.assert_array_equal(a, b)
-        g1 = RngStream(9, 0).generator.standard_normal(50)
-        g2 = RngStream(9, 0).generator.standard_normal(50)
-        np.testing.assert_array_equal(g1, g2)
-
-    def test_distinct_streams_differ(self):
-        a = RngStream(123, 0).generator.random(100)
-        b = RngStream(123, 1).generator.random(100)
-        assert not np.array_equal(a, b)
-
-    def test_gaussian_moments(self):
-        x = RngStream(7, 0).generator.standard_normal(1_000_000)
-        assert abs(x.mean()) < 0.01
-        assert abs(x.var() - 1.0) < 0.02
-
-    def test_uniform_moments(self):
-        x = RngStream(8, 0).generator.random(1_000_000)
-        assert abs(x.mean() - 0.5) < 0.01
-        assert x.min() >= 0.0 and x.max() < 1.0
-
-    def test_pairwise_stream_correlation(self):
-        n = 100_000
-        draws = [RngStream(3, sid).generator.random(n) for sid in range(4)]
-        for i in range(4):
-            for j in range(i + 1, 4):
-                rho = np.corrcoef(draws[i], draws[j])[0, 1]
-                assert abs(rho) < 0.01

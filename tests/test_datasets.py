@@ -482,6 +482,11 @@ class TestSplits:
         with pytest.raises(ValueError):
             make_splits(ds, SplitPlan("fixed_holdout"))
 
+    def test_more_folds_than_samples(self):
+        ds = make_synthetic_multilabel(5, 3, 4, seed=8)
+        with pytest.raises(ValueError, match="^more folds than samples$"):
+            make_splits(ds, SplitPlan("kfold", folds=6))
+
     def test_bad_mode(self):
         with pytest.raises(ValueError):
             SplitPlan("leave_one_out")

@@ -102,6 +102,19 @@ class TestEstimatorStructure:
                 n_ls=1, n_phi=3, n_eps=3,
             )
 
+    @pytest.mark.parametrize("value", [2.5, 1, True])
+    @pytest.mark.parametrize("name", ["n_ls", "n_phi", "n_eps"])
+    def test_counts_must_be_integers_naming_the_field(self, name, value):
+        counts = dict(n_ls=3, n_phi=3, n_eps=3)
+        counts[name] = value
+        with pytest.raises(ValueError, match="^{} must be".format(name)):
+            estimate_ensemble(two_feature_problem(), gaussian_cfg("per_tree_subspace", t=2),
+                              **counts)
+
+    def test_problem_needs_a_probe(self):
+        with pytest.raises(ValueError, match="at least one probe point"):
+            two_feature_problem(n_probes=0)
+
     @pytest.mark.parametrize("n_ls", [2, 6, 30])
     def test_bootstrap_pass_equals_one_resample_at_a_time(self, n_ls):
         # Reference: each replicate drawn alone, in order, from the same
@@ -201,3 +214,17 @@ class TestVarianceCurve:
         assert curve.r_squared >= 0.9
         assert curve.slope > 0
         assert (np.diff(curve.variances) < 0).all()  # variance shrinks with t
+
+    @pytest.mark.parametrize("reps", [1, 0, 2.5])
+    def test_reps_must_be_at_least_two(self, reps):
+        with pytest.raises(ValueError, match="^reps must be"):
+            ensemble_variance_curve(two_feature_problem(),
+                                    lambda t: gaussian_cfg("per_tree_subspace", t=t),
+                                    [1, 2], reps=reps)
+
+    @pytest.mark.parametrize("t_values", [[3], [], [2, 2]], ids=["one", "none", "repeated"])
+    def test_needs_two_distinct_ensemble_sizes(self, t_values):
+        with pytest.raises(ValueError, match="two distinct ensemble sizes"):
+            ensemble_variance_curve(two_feature_problem(),
+                                    lambda t: gaussian_cfg("per_tree_subspace", t=t),
+                                    t_values, reps=2)

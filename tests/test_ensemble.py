@@ -12,7 +12,6 @@ from projforest import (
     EnsembleConfig,
     Ensemble,
     ProjectionSpec,
-    RngStream,
     Tree,
     TreeConfig,
     fit,
@@ -21,6 +20,8 @@ from projforest import (
     grow_arrays,
     make_synthetic_multilabel,
     pca_projection,
+    project,
+    stream,
     to_dense,
 )
 from projforest.ensemble import _fit_arrays
@@ -59,7 +60,7 @@ class TestPolicies:
     def test_per_tree_maps_are_distinct(self):
         ds = small_data(seed=2)
         cfg = config("per_tree_subspace", t=3)
-        phis = [generate(cfg.projection, 8, RngStream(cfg.master_seed, j))
+        phis = [generate(cfg.projection, 8, stream(cfg.master_seed, j))
                 for j in range(3)]
         mats = [to_dense(phi) for phi in phis]
         assert not np.array_equal(mats[0], mats[1])
@@ -71,7 +72,7 @@ class TestPolicies:
         # Every tree is grown on the one map drawn from projection stream 0.
         ds = small_data(seed=3)
         cfg = config("shared_subspace", t=3)
-        phi = generate(cfg.projection, 8, RngStream(cfg.master_seed, 0))
+        phi = generate(cfg.projection, 8, stream(cfg.master_seed, 0))
         assert_trees_follow_seed_discipline(ds, cfg, [phi] * 3)
         assert_trees_follow_seed_discipline(ds, config("no_projection", t=2), [None] * 2)
 
@@ -90,9 +91,11 @@ def assert_trees_follow_seed_discipline(ds, cfg, phis):
     stream ``t + j``; returns the fitted ensemble."""
     ens = fit(ds, cfg)
     assert ens.t == len(phis)
+    Y = ds.Y_rows()
     for j, (tree, phi) in enumerate(zip(ens.trees, phis)):
-        expected = grow_arrays(ds.X_rows(), ds.Y_rows(), phi, cfg.tree,
-                               RngStream(cfg.master_seed, cfg.t + j))
+        Z = Y if phi is None else project(phi, Y)
+        expected = grow_arrays(ds.X_rows(), Y, Z, cfg.tree,
+                               stream(cfg.master_seed, cfg.t + j))
         assert trees_equal(tree, expected)
     return ens
 
@@ -243,6 +246,15 @@ class TestSaveLoad:
         path = tmp_path / "bad.json"
         path.write_text('{"format": "something-else"}')
         with pytest.raises(ValueError):
+            Ensemble.load(path)
+
+    def test_unsupported_version_rejected(self, tmp_path):
+        path = tmp_path / "model.json"
+        fit(small_data(seed=13), config("per_tree_subspace", t=2)).save(path)
+        doc = json.loads(path.read_text())
+        doc["version"] = 2
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="^unsupported ensemble document version: 2$"):
             Ensemble.load(path)
 
     @pytest.mark.parametrize("mutate, message", [

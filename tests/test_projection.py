@@ -7,12 +7,12 @@ import scipy.sparse as sp
 
 from projforest import (
     ProjectionSpec,
-    RngStream,
     distortion_check,
     generate,
     jl_min_dimension,
     pca_projection,
     project,
+    stream,
     to_dense,
 )
 from projforest.projection import _sylvester_rows
@@ -50,26 +50,26 @@ class TestSpec:
         assert ProjectionSpec("rademacher", 3, s=value).s == value
 
     def test_numpy_integer_m_accepted(self):
-        phi = generate(ProjectionSpec("gaussian", np.int64(3)), 5, RngStream(0, 0))
+        phi = generate(ProjectionSpec("gaussian", np.int64(3)), 5, stream(0, 0))
         assert phi.shape == (3, 5)
 
 
 class TestGenerate:
     def test_rademacher_s1_entries(self):
-        phi = generate(ProjectionSpec("rademacher", 4, s=1.0), 8, RngStream(0, 0))
+        phi = generate(ProjectionSpec("rademacher", 4, s=1.0), 8, stream(0, 0))
         assert set(np.unique(phi)) == {-0.5, 0.5}
 
     def test_identity_is_exact(self):
-        phi = generate(ProjectionSpec("identity", 6), 6, RngStream(0, 0))
+        phi = generate(ProjectionSpec("identity", 6), 6, stream(0, 0))
         assert sp.issparse(phi)
         np.testing.assert_array_equal(to_dense(phi), np.eye(6))
 
     def test_identity_requires_m_equals_d(self):
         with pytest.raises(ValueError):
-            generate(ProjectionSpec("identity", 3), 6, RngStream(0, 0))
+            generate(ProjectionSpec("identity", 3), 6, stream(0, 0))
 
     def test_rademacher_s3_zero_fraction(self):
-        phi = generate(ProjectionSpec("rademacher", 100, s=3.0), 100, RngStream(1, 0))
+        phi = generate(ProjectionSpec("rademacher", 100, s=3.0), 100, stream(1, 0))
         assert isinstance(phi, np.ndarray)
         zero_fraction = np.mean(phi == 0.0)
         assert abs(zero_fraction - 2.0 / 3.0) <= 0.02
@@ -83,11 +83,11 @@ class TestGenerate:
     def test_subsample_kinds_require_m_le_d(self):
         for kind in ("hadamard_subsample", "identity_subsample"):
             with pytest.raises(ValueError):
-                generate(ProjectionSpec(kind, 9), 8, RngStream(0, 0))
+                generate(ProjectionSpec(kind, 9), 8, stream(0, 0))
 
     def test_pca_not_generable_without_data(self):
         with pytest.raises(ValueError):
-            generate(ProjectionSpec("pca", 2), 8, RngStream(0, 0))
+            generate(ProjectionSpec("pca", 2), 8, stream(0, 0))
 
     @pytest.mark.parametrize("spec, d, message", [
         (ProjectionSpec("gaussian", 2), 0, "output dimension d must be >= 1"),
@@ -96,21 +96,21 @@ class TestGenerate:
     ], ids=["zero-d", "unvalidated-kind"])
     def test_bad_arguments_rejected(self, spec, d, message):
         with pytest.raises(ValueError, match=message):
-            generate(spec, d, RngStream(0, 0))
+            generate(spec, d, stream(0, 0))
 
     def test_gaussian_entry_variance(self):
         m, d = 20, 600
-        phi = generate(ProjectionSpec("gaussian", m), d, RngStream(2, 0))
+        phi = generate(ProjectionSpec("gaussian", m), d, stream(2, 0))
         var = phi.var()
         assert abs(var - 1.0 / m) <= 0.05 / m
 
     def test_deterministic_under_stream(self):
-        a = generate(ProjectionSpec("gaussian", 5), 40, RngStream(3, 7))
-        b = generate(ProjectionSpec("gaussian", 5), 40, RngStream(3, 7))
+        a = generate(ProjectionSpec("gaussian", 5), 40, stream(3, 7))
+        b = generate(ProjectionSpec("gaussian", 5), 40, stream(3, 7))
         np.testing.assert_array_equal(a, b)
 
     def test_identity_subsample_rows_are_unit_vectors(self):
-        phi = generate(ProjectionSpec("identity_subsample", 5), 12, RngStream(4, 0))
+        phi = generate(ProjectionSpec("identity_subsample", 5), 12, stream(4, 0))
         assert sp.issparse(phi)
         dense = to_dense(phi)
         assert dense.shape == (5, 12)
@@ -134,7 +134,7 @@ class TestHadamard:
         np.testing.assert_array_equal(R @ R.T, order * np.eye(4))
 
     def test_entries_after_scaling(self):
-        phi = generate(ProjectionSpec("hadamard_subsample", 6), 20, RngStream(5, 0))
+        phi = generate(ProjectionSpec("hadamard_subsample", 6), 20, stream(5, 0))
         assert isinstance(phi, np.ndarray) and phi.shape == (6, 20)
         expected = 1.0 / np.sqrt(6)
         assert set(np.unique(np.abs(phi))) == {expected}
@@ -143,7 +143,7 @@ class TestHadamard:
 class TestProject:
     def test_identity_reproduces_dense_labels(self):
         Y = random_sparse_labels(15, 9, 0.3, 0)
-        phi = generate(ProjectionSpec("identity", 9), 9, RngStream(0, 0))
+        phi = generate(ProjectionSpec("identity", 9), 9, stream(0, 0))
         np.testing.assert_array_equal(project(phi, Y), to_dense(Y))
 
     def test_zero_map_gives_zeros(self):
@@ -153,7 +153,7 @@ class TestProject:
 
     def test_matches_naive_triple_loop(self):
         Y = random_sparse_labels(12, 8, 0.35, 2)
-        phi = generate(ProjectionSpec("gaussian", 4), 8, RngStream(6, 0))
+        phi = generate(ProjectionSpec("gaussian", 4), 8, stream(6, 0))
         Z = project(phi, Y)
         Yd = to_dense(Y)
         naive = np.zeros((12, 4))
@@ -168,7 +168,7 @@ class TestProject:
 
     def test_dimension_mismatch(self):
         Y = random_sparse_labels(5, 7, 0.3, 3)
-        phi = generate(ProjectionSpec("gaussian", 2), 6, RngStream(0, 0))
+        phi = generate(ProjectionSpec("gaussian", 2), 6, stream(0, 0))
         with pytest.raises(ValueError):
             project(phi, Y)
 
@@ -176,7 +176,7 @@ class TestProject:
         gen = np.random.default_rng(4)
         Y1 = gen.random((9, 11))
         Y2 = gen.random((9, 11))
-        phi = generate(ProjectionSpec("gaussian", 5), 11, RngStream(7, 0))
+        phi = generate(ProjectionSpec("gaussian", 5), 11, stream(7, 0))
         lhs = project(phi, 2.5 * Y1 - 1.25 * Y2)
         rhs = 2.5 * project(phi, Y1) - 1.25 * project(phi, Y2)
         assert np.abs(lhs - rhs).max() <= 1e-12 * max(1.0, np.abs(rhs).max())
@@ -263,7 +263,7 @@ class TestNonFiniteLabels:
                 pca_projection(Y, 3)
 
     def test_project_rejects(self, value):
-        phi = generate(ProjectionSpec("gaussian", 3), 8, RngStream(4, 0))
+        phi = generate(ProjectionSpec("gaussian", 3), 8, stream(4, 0))
         for Y in labels_with(value):
             with pytest.raises(ValueError, match="Y contains non-finite values"):
                 project(phi, Y)
@@ -272,20 +272,20 @@ class TestNonFiniteLabels:
 class TestDistortion:
     def test_identity_never_violates(self):
         Y = random_sparse_labels(20, 12, 0.3, 7)
-        phi = generate(ProjectionSpec("identity", 12), 12, RngStream(0, 0))
+        phi = generate(ProjectionSpec("identity", 12), 12, stream(0, 0))
         for eps in (0.0, 0.1, 1.0):
             rep = distortion_check(phi, Y, eps)
             assert rep.violations == 0
             assert rep.max_ratio_error <= 1e-12
 
     def test_needs_two_rows(self):
-        phi = generate(ProjectionSpec("gaussian", 2), 3, RngStream(8, 0))
+        phi = generate(ProjectionSpec("gaussian", 2), 3, stream(8, 0))
         with pytest.raises(ValueError, match="at least two rows"):
             distortion_check(phi, sp.csr_matrix(np.ones((1, 3))), 0.1)
 
     def test_duplicate_rows_are_skipped(self):
         Y = sp.csr_matrix(np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
-        phi = generate(ProjectionSpec("gaussian", 2), 2, RngStream(8, 0))
+        phi = generate(ProjectionSpec("gaussian", 2), 2, stream(8, 0))
         rep = distortion_check(phi, Y, 10.0)
         assert rep.pairs == 2  # the identical pair is excluded
 
@@ -295,7 +295,7 @@ class TestDistortion:
         for seed in range(20):
             gen = np.random.default_rng(seed)
             Y = sp.csr_matrix((gen.random((50, 30)) < 0.4).astype(float))
-            phi = generate(ProjectionSpec("gaussian", 1), 30, RngStream(seed, 3))
+            phi = generate(ProjectionSpec("gaussian", 1), 30, stream(seed, 3))
             rep = distortion_check(phi, Y, 0.1)
             assert rep.violations > 0
 
@@ -307,8 +307,8 @@ class TestDistortion:
         m = jl_min_dimension(eps, n)
         premise_held = 0
         for seed in range(50):
-            Y = pattern_label_matrix(n, 80, 10, 6, RngStream(60, 2 * seed))
-            phi = generate(ProjectionSpec("gaussian", m), 80, RngStream(60, 2 * seed + 1))
+            Y = pattern_label_matrix(n, 80, 10, 6, stream(60, 2 * seed))
+            phi = generate(ProjectionSpec("gaussian", m), 80, stream(60, 2 * seed + 1))
             rep = distortion_check(phi, Y, eps)
             if rep.violations == 0:
                 premise_held += 1

@@ -9,7 +9,6 @@ from hypothesis.extra.numpy import arrays
 
 from projforest import (
     ProjectionSpec,
-    RngStream,
     TreeConfig,
     best_split_exhaustive,
     best_split_random_threshold,
@@ -18,6 +17,7 @@ from projforest import (
     grow_arrays,
     jl_min_dimension,
     project,
+    stream,
     to_dense,
     variance_sum,
 )
@@ -152,7 +152,7 @@ class TestExhaustiveSplit:
         trees = []
         for block_bytes in (0, 1 << 14, 1 << 40):
             monkeypatch.setattr(tree_module, "SCAN_BLOCK_BYTES", block_bytes)
-            trees.append(grow_arrays(X, Y, None, cfg, RngStream(4, 0)))
+            trees.append(grow_arrays(X, Y, Y, cfg, stream(4, 0)))
         assert trees[0].n_nodes > 10
         assert trees_equal(trees[1], trees[0]) and trees_equal(trees[2], trees[0])
 
@@ -180,13 +180,13 @@ class TestExhaustiveSplit:
         X = np.floor(gen.random((80, 6)) * 5.0)
         X[:, 4] = X[:, 1]
         Y = gen.standard_normal((80, 40))
-        phi = generate(ProjectionSpec("gaussian", 64), 40, RngStream(5, 0))
+        phi = generate(ProjectionSpec("gaussian", 64), 40, stream(5, 0))
         cfg = TreeConfig(k=5, n_min=2, bootstrap=True)
-        for map_ in (None, phi):
+        for Z in (Y, project(phi, Y)):
             trees = []
             for minimum in (1, 1 << 40):
                 monkeypatch.setattr(tree_module, "SLAB_RECURRENCE_MIN", minimum)
-                trees.append(grow_arrays(X, Y, map_, cfg, RngStream(6, 0)))
+                trees.append(grow_arrays(X, Y, Z, cfg, stream(6, 0)))
             assert trees[0].n_nodes > 20
             assert trees_equal(trees[1], trees[0])
 
@@ -328,8 +328,8 @@ class TestGrowthOrder:
     Y = (np.random.default_rng(21).random((120, 6)) < 0.4).astype(float)
 
     def test_exhaustive_numbers_each_depth_before_the_next(self):
-        tree = grow_arrays(self.X, self.Y, None, TreeConfig(k=3, n_min=2),
-                           RngStream(3, 0))
+        tree = grow_arrays(self.X, self.Y, self.Y, TreeConfig(k=3, n_min=2),
+                           stream(3, 0))
         depth = node_depths(tree)
         assert depth.max() >= 4
         assert (np.diff(depth) >= 0).all()
@@ -339,9 +339,9 @@ class TestGrowthOrder:
         np.testing.assert_array_equal(tree.children_right[split], tree.children_left[split] + 1)
 
     def test_random_threshold_numbers_depth_first(self):
-        tree = grow_arrays(self.X, self.Y, None,
+        tree = grow_arrays(self.X, self.Y, self.Y,
                            TreeConfig(k=3, n_min=2, splitter="random_threshold"),
-                           RngStream(3, 0))
+                           stream(3, 0))
         depth = node_depths(tree)
         assert (np.diff(depth) < 0).any()
         # Split nodes hand out child ids in depth-first (preorder) order,
@@ -354,10 +354,10 @@ class TestGrowthOrder:
         # Replays the documented draws: per depth, one k-of-p draw for all
         # splittable nodes (at least n_min samples, not pure) in id order.
         cfg = TreeConfig(k=2, n_min=3)
-        tree = grow_arrays(self.X, self.Y, None, cfg, RngStream(4, 0))
+        tree = grow_arrays(self.X, self.Y, self.Y, cfg, stream(4, 0))
         members = node_memberships(tree, self.X)
         depth = node_depths(tree)
-        gen = RngStream(4, 0).generator
+        gen = stream(4, 0)
         for d in range(depth.max() + 1):
             level = np.flatnonzero(depth == d)
             open_ = [node for node in level if members[node].size >= cfg.n_min
@@ -395,7 +395,7 @@ class TestGrowthOrder:
             monkeypatch.setattr(tree_module, "SCAN_BLOCK_BYTES", budget)
             chunk_sizes.clear()
             views.clear()
-            grow_arrays(self.X, Y, None, cfg, RngStream(5, 0))
+            grow_arrays(self.X, Y, Y, cfg, stream(5, 0))
             assert max(sizes.size for sizes in chunk_sizes) > 1 or budget == 0
             for sizes in chunk_sizes:
                 assert sizes.size == 1 or 8 * cfg.k * sizes.sum() <= budget
@@ -433,14 +433,14 @@ class TestTreeConfig:
 
     def test_numpy_values_accepted(self):
         cfg = TreeConfig(k=np.int64(2), n_min=np.int32(3), bootstrap=np.bool_(True))
-        tree = grow_arrays(TOY_X.repeat(2, axis=1), TOY_Z, None, cfg, RngStream(0, 0))
+        tree = grow_arrays(TOY_X.repeat(2, axis=1), TOY_Z, TOY_Z, cfg, stream(0, 0))
         assert tree.leaf_counts.sum() == 4
 
 
 @pytest.mark.parametrize("search", [
     best_split_exhaustive,
     lambda X, Z, samples, features: best_split_random_threshold(
-        X, Z, samples, features, RngStream(0, 0)),
+        X, Z, samples, features, stream(0, 0)),
 ], ids=["exhaustive", "random_threshold"])
 @pytest.mark.parametrize("samples, features, message", [
     ([2], [0], "at least two samples"),
@@ -456,7 +456,7 @@ class TestRandomThresholdSplit:
     def test_two_samples_forced_partition(self):
         X = np.array([[0.0], [1.0]])
         Z = np.array([[0.0], [1.0]])
-        rec = best_split_random_threshold(X, Z, [0, 1], [0], RngStream(0, 0))
+        rec = best_split_random_threshold(X, Z, [0, 1], [0], stream(0, 0))
         assert rec is not None
         assert 0.0 <= rec.threshold < 1.0
         assert rec.impurity_reduction == 0.25
@@ -465,8 +465,8 @@ class TestRandomThresholdSplit:
         gen = np.random.default_rng(3)
         X = gen.random((20, 3))
         Z = gen.random((20, 2))
-        a = best_split_random_threshold(X, Z, np.arange(20), np.arange(3), RngStream(5, 1))
-        b = best_split_random_threshold(X, Z, np.arange(20), np.arange(3), RngStream(5, 1))
+        a = best_split_random_threshold(X, Z, np.arange(20), np.arange(3), stream(5, 1))
+        b = best_split_random_threshold(X, Z, np.arange(20), np.arange(3), stream(5, 1))
         assert a == b
 
     def test_separable_data_always_positive_gain(self):
@@ -474,34 +474,34 @@ class TestRandomThresholdSplit:
         Z = np.vstack([np.zeros((5, 1)), np.ones((5, 1))])
         for seed in range(100):
             rec = best_split_random_threshold(
-                X, Z, np.arange(10), np.arange(2), RngStream(seed, 0)
+                X, Z, np.arange(10), np.arange(2), stream(seed, 0)
             )
             assert rec is not None and rec.impurity_reduction > 0
 
     def test_constant_feature_skipped(self):
         X = np.column_stack([np.ones(4), [0.0, 1.0, 2.0, 3.0]])
-        rec = best_split_random_threshold(X, TOY_Z, np.arange(4), [0, 1], RngStream(1, 0))
+        rec = best_split_random_threshold(X, TOY_Z, np.arange(4), [0, 1], stream(1, 0))
         assert rec.feature == 1
 
 
 class TestGrow:
     @pytest.mark.parametrize("storage", ["dense", "csr"])
-    @pytest.mark.parametrize("where", ["X", "Y"])
+    @pytest.mark.parametrize("where", ["X", "Y", "Z"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_input_rejected(self, storage, where, value):
         gen = np.random.default_rng(8)
-        X = gen.random((30, 3))
-        Y = (gen.random((30, 4)) < 0.4).astype(float)
-        (X if where == "X" else Y)[3, 1] = value
+        inputs = {"X": gen.random((30, 3)),
+                  "Y": (gen.random((30, 4)) < 0.4).astype(float),
+                  "Z": gen.standard_normal((30, 2))}
+        inputs[where][3, 1] = value
         wrap = sp.csr_matrix if storage == "csr" else np.asarray
-        phi = generate(ProjectionSpec("gaussian", 2), 4, RngStream(0, 0))
-        for map_ in (None, phi):
-            with pytest.raises(ValueError, match=where + " contains non-finite"):
-                grow_arrays(wrap(X), wrap(Y), map_, TreeConfig(k=2), RngStream(0, 1))
+        X, Y, Z = (wrap(inputs[name]) for name in "XYZ")
+        with pytest.raises(ValueError, match=where + " contains non-finite"):
+            grow_arrays(X, Y, Z, TreeConfig(k=2), stream(0, 1))
 
     def test_single_leaf_when_n_min_exceeds_n(self):
         cfg = TreeConfig(k=1, n_min=5)
-        tree = grow_arrays(TOY_X, TOY_Z, None, cfg, RngStream(0, 0))
+        tree = grow_arrays(TOY_X, TOY_Z, TOY_Z, cfg, stream(0, 0))
         assert tree.n_leaves == 1
         np.testing.assert_array_equal(tree.predict([[7.0]]), [[0.5, 0.5]])
 
@@ -512,17 +512,17 @@ class TestGrow:
             X = gen.random((n, p))
             Y = sp.csr_matrix((gen.random((n, d)) < 0.3).astype(float))
             cfg = TreeConfig(k=2, n_min=2, bootstrap=True)
-            phi = generate(ProjectionSpec("identity", d), d, RngStream(trial, 0))
-            a = grow_arrays(X, Y, phi, cfg, RngStream(trial, 9))
-            b = grow_arrays(X, Y, None, cfg, RngStream(trial, 9))
+            phi = generate(ProjectionSpec("identity", d), d, stream(trial, 0))
+            a = grow_arrays(X, Y, project(phi, Y), cfg, stream(trial, 9))
+            b = grow_arrays(X, Y, Y, cfg, stream(trial, 9))
             assert trees_equal(a, b)
 
     def test_toy_split_recovered_under_1d_gaussian_projection(self):
         cfg = TreeConfig(k=1, n_min=2)
         recovered = 0
         for seed in range(100):
-            phi = generate(ProjectionSpec("gaussian", 1), 2, RngStream(seed, 0))
-            tree = grow_arrays(TOY_X, TOY_Z, phi, cfg, RngStream(seed, 1))
+            phi = generate(ProjectionSpec("gaussian", 1), 2, stream(seed, 0))
+            tree = grow_arrays(TOY_X, TOY_Z, project(phi, TOY_Z), cfg, stream(seed, 1))
             if tree.n_nodes >= 3 and tree.threshold[0] == 5.5:
                 recovered += 1
         assert recovered >= 95
@@ -531,8 +531,8 @@ class TestGrow:
         gen = np.random.default_rng(5)
         X = gen.random((60, 4))
         Y = sp.csr_matrix((gen.random((60, 10)) < 0.25).astype(float))
-        phi = generate(ProjectionSpec("gaussian", 2), 10, RngStream(0, 0))
-        tree = grow_arrays(X, Y, phi, TreeConfig(k=2, n_min=4), RngStream(0, 1))
+        phi = generate(ProjectionSpec("gaussian", 2), 10, stream(0, 0))
+        tree = grow_arrays(X, Y, project(phi, Y), TreeConfig(k=2, n_min=4), stream(0, 1))
         assert tree.leaf_values.shape[1] == 10  # original label space
         assert tree.leaf_values.min() >= 0.0
         assert tree.leaf_values.max() <= 1.0
@@ -541,7 +541,7 @@ class TestGrow:
         gen = np.random.default_rng(6)
         X = gen.random((50, 3))
         Y = sp.csr_matrix((gen.random((50, 5)) < 0.4).astype(float))
-        tree = grow_arrays(X, Y, None, TreeConfig(k=3, n_min=3), RngStream(2, 0))
+        tree = grow_arrays(X, Y, Y, TreeConfig(k=3, n_min=3), stream(2, 0))
         leaves = tree.apply(X)
         assert leaves.shape == (50,)
         counts = np.bincount(leaves, minlength=tree.n_leaves)
@@ -552,7 +552,7 @@ class TestGrow:
         gen = np.random.default_rng(7)
         X = gen.random((30, 2))
         Y = sp.csr_matrix((gen.random((30, 4)) < 0.5).astype(float))
-        tree = grow_arrays(X, Y, None, TreeConfig(k=2, bootstrap=True), RngStream(3, 0))
+        tree = grow_arrays(X, Y, Y, TreeConfig(k=2, bootstrap=True), stream(3, 0))
         assert tree.leaf_counts.sum() == 30
 
     def test_bootstrap_leaf_values_use_multiplicities(self):
@@ -560,8 +560,8 @@ class TestGrow:
         X = np.array([[0.0], [1.0]])
         Y = sp.csr_matrix(np.array([[1.0], [0.0]]))
         cfg = TreeConfig(k=1, n_min=5, bootstrap=True)  # single leaf
-        tree = grow_arrays(X, Y, None, cfg, RngStream(11, 0))
-        rows = RngStream(11, 0).generator.integers(0, 2, size=2)
+        tree = grow_arrays(X, Y, Y, cfg, stream(11, 0))
+        rows = stream(11, 0).integers(0, 2, size=2)
         expected = to_dense(Y)[rows].mean(axis=0)
         np.testing.assert_array_equal(tree.leaf_values[0], expected)
 
@@ -572,11 +572,11 @@ class TestGrow:
         # split at n_min=5 and not at n_min=6.
         X = np.arange(5.0)[:, None]
         Y = np.eye(5)
-        draw = RngStream(9, 0).generator.integers(0, 5, size=5)
+        draw = stream(9, 0).integers(0, 5, size=5)
         np.testing.assert_array_equal(np.bincount(draw, minlength=5), [2, 2, 1, 0, 0])
         trees = {
-            n_min: grow_arrays(X, Y, None, TreeConfig(k=1, n_min=n_min, splitter=splitter,
-                                                      bootstrap=True), RngStream(9, 0))
+            n_min: grow_arrays(X, Y, Y, TreeConfig(k=1, n_min=n_min, splitter=splitter,
+                                                      bootstrap=True), stream(9, 0))
             for n_min in (5, 6)
         }
         assert trees[5].n_nodes == 3 and trees[5].leaf_counts.sum() == 5
@@ -587,8 +587,8 @@ class TestGrow:
         # row's impurity rounds to about 6e-8 instead of 0, yet a node of one
         # distinct row has no split to scan.
         Y = np.array([[1.0, 2.0], [3.0, 4.0], [10137.2, 13521.4]])
-        tree = grow_arrays(np.arange(3.0)[:, None], Y, None,
-                           TreeConfig(k=1, bootstrap=True), RngStream(11, 0))
+        tree = grow_arrays(np.arange(3.0)[:, None], Y, Y,
+                           TreeConfig(k=1, bootstrap=True), stream(11, 0))
         assert tree.n_nodes == 1 and tree.leaf_counts.tolist() == [3]
         np.testing.assert_array_equal(tree.leaf_values[0], Y[2])
 
@@ -596,7 +596,7 @@ class TestGrow:
         gen = np.random.default_rng(8)
         X = gen.random((80, 5))
         Y = sp.csr_matrix((gen.random((80, 8)) < 0.3).astype(float))
-        tree = grow_arrays(X, Y, None, TreeConfig(k=3, n_min=2), RngStream(4, 0))
+        tree = grow_arrays(X, Y, Y, TreeConfig(k=3, n_min=2), stream(4, 0))
         # No bootstrap, so every node holds the training rows routed to it.
         members = node_memberships(tree, X)
         Yd = to_dense(Y)
@@ -613,13 +613,12 @@ class TestGrow:
             assert gain > 0
 
     def test_dimension_mismatch_raises(self):
-        phi = generate(ProjectionSpec("gaussian", 2), 5, RngStream(0, 0))
-        with pytest.raises(ValueError):
-            grow_arrays(TOY_X, TOY_Z, phi, TreeConfig(k=1), RngStream(0, 0))
+        with pytest.raises(ValueError, match="X and Z row counts differ"):
+            grow_arrays(TOY_X, TOY_Z, TOY_Z[:3], TreeConfig(k=1), stream(0, 0))
 
     def test_k_larger_than_p_raises(self):
         with pytest.raises(ValueError):
-            grow_arrays(TOY_X, TOY_Z, None, TreeConfig(k=2), RngStream(0, 0))
+            grow_arrays(TOY_X, TOY_Z, TOY_Z, TreeConfig(k=2), stream(0, 0))
 
     @pytest.mark.parametrize("X, Z, message", [
         (TOY_X, TOY_Z[:3], "row counts differ"),
@@ -627,7 +626,7 @@ class TestGrow:
     ], ids=["row-mismatch", "empty"])
     def test_bad_sample_rejected(self, X, Z, message):
         with pytest.raises(ValueError, match=message):
-            grow_arrays(X, Z, None, TreeConfig(k=1), RngStream(0, 0))
+            grow_arrays(X, Z, Z, TreeConfig(k=1), stream(0, 0))
 
     def test_sparse_inputs_match_dense(self):
         gen = np.random.default_rng(9)
@@ -637,8 +636,8 @@ class TestGrow:
         for splitter in ("exhaustive", "random_threshold"):
             for bootstrap in (False, True):
                 cfg = TreeConfig(k=3, n_min=3, splitter=splitter, bootstrap=bootstrap)
-                a = grow_arrays(X, Y, None, cfg, RngStream(5, 0))
-                b = grow_arrays(sp.csr_matrix(X), Y, None, cfg, RngStream(5, 0))
+                a = grow_arrays(X, Y, Y, cfg, stream(5, 0))
+                b = grow_arrays(sp.csr_matrix(X), Y, Y, cfg, stream(5, 0))
                 assert trees_equal(a, b)
 
     @pytest.mark.parametrize("splitter", ["exhaustive", "random_threshold"])
@@ -659,9 +658,9 @@ class TestGrow:
                     cfg = TreeConfig(
                         k=2, n_min=n_min, splitter=splitter, bootstrap=bootstrap
                     )
-                    tree = grow_arrays(X, Y, None, cfg, RngStream(seed, 0))
+                    tree = grow_arrays(X, Y, Y, cfg, stream(seed, 0))
                     if bootstrap:
-                        rows = RngStream(seed, 0).generator.integers(0, n, size=n)
+                        rows = stream(seed, 0).integers(0, n, size=n)
                     else:
                         rows = np.arange(n)
                     values, counts = aggregation_leaf_values(tree, X, Y, rows)
@@ -672,23 +671,23 @@ class TestGrow:
         gen = np.random.default_rng(10)
         X = gen.random((25, 2))
         Y = gen.standard_normal((25, 3))
-        tree = grow_arrays(X, Y, None, TreeConfig(k=2, n_min=5), RngStream(6, 0))
+        tree = grow_arrays(X, Y, Y, TreeConfig(k=2, n_min=5), stream(6, 0))
         assert tree.leaf_values.shape[1] == 3
         assert np.isfinite(tree.leaf_values).all()
 
 
 class TestPredict:
     def test_routing_traced_by_hand(self):
-        tree = grow_arrays(TOY_X, TOY_Z, None, TreeConfig(k=1, n_min=2), RngStream(0, 0))
+        tree = grow_arrays(TOY_X, TOY_Z, TOY_Z, TreeConfig(k=1, n_min=2), stream(0, 0))
         np.testing.assert_array_equal(tree.predict([[0.2], [10.4]]), [[1.0, 0.0], [0.0, 1.0]])
 
     def test_boundary_routes_left(self):
-        tree = grow_arrays(TOY_X, TOY_Z, None, TreeConfig(k=1, n_min=2), RngStream(0, 0))
+        tree = grow_arrays(TOY_X, TOY_Z, TOY_Z, TreeConfig(k=1, n_min=2), stream(0, 0))
         assert tree.threshold[0] == 5.5
         np.testing.assert_array_equal(tree.predict([[5.5]]), [[1.0, 0.0]])
 
     def test_feature_count_mismatch(self):
-        tree = grow_arrays(TOY_X, TOY_Z, None, TreeConfig(k=1, n_min=2), RngStream(0, 0))
+        tree = grow_arrays(TOY_X, TOY_Z, TOY_Z, TreeConfig(k=1, n_min=2), stream(0, 0))
         with pytest.raises(ValueError):
             tree.apply(np.zeros((3, 2)))
         with pytest.raises(ValueError):
@@ -698,7 +697,7 @@ class TestPredict:
         gen = np.random.default_rng(11)
         X = gen.random((50, 4))
         Y = sp.csr_matrix((gen.random((50, 6)) < 0.3).astype(float))
-        tree = grow_arrays(X, Y, None, TreeConfig(k=2, n_min=3), RngStream(7, 0))
+        tree = grow_arrays(X, Y, Y, TreeConfig(k=2, n_min=3), stream(7, 0))
         Xp = gen.random((30, 4))
         batch = tree.predict(Xp)
         single = np.vstack([tree_walk(tree, x) for x in Xp])
@@ -709,7 +708,7 @@ class TestPredict:
         X = gen.random((40, 5))
         X[X < 0.6] = 0.0
         Y = sp.csr_matrix((gen.random((40, 4)) < 0.4).astype(float))
-        tree = grow_arrays(X, Y, None, TreeConfig(k=2, n_min=3), RngStream(8, 0))
+        tree = grow_arrays(X, Y, Y, TreeConfig(k=2, n_min=3), stream(8, 0))
         np.testing.assert_array_equal(
             tree.predict(sp.csr_matrix(X)), tree.predict(X)
         )
@@ -722,15 +721,15 @@ class TestVarianceTransferInTrees:
         m = jl_min_dimension(eps, n)
         gen = np.random.default_rng(13)
         X = gen.random((n, 3))
-        Y = pattern_label_matrix(n, d, 10, 7, RngStream(70, 0))
-        phi = generate(ProjectionSpec("gaussian", m), d, RngStream(70, 1))
+        Y = pattern_label_matrix(n, d, 10, 7, stream(70, 0))
+        phi = generate(ProjectionSpec("gaussian", m), d, stream(70, 1))
         rep = distortion_check(phi, Y, eps)
         assert rep.violations == 0  # premise holds for this frozen seed
 
-        tree = grow_arrays(X, Y, phi, TreeConfig(k=3, n_min=6), RngStream(70, 2))
+        Z = project(phi, Y)
+        tree = grow_arrays(X, Y, Z, TreeConfig(k=3, n_min=6), stream(70, 2))
         members = node_memberships(tree, X)
         Yd = to_dense(Y)
-        Z = project(phi, Y)
         for node in range(tree.n_nodes):
             rows = members[node]
             vo = variance_sum(Yd[rows])
@@ -762,13 +761,14 @@ class TestPermutationCovariance:
         Y = (gen.random((n, d)) < 0.35).astype(float)
         perm = gen.permutation(d)
         for kind, m in (("identity", d), ("identity_subsample", 4)):
-            phi = generate(ProjectionSpec(kind, m), d, RngStream(15, 0))
+            phi = generate(ProjectionSpec(kind, m), d, stream(15, 0))
             # phi_perm acts on permuted labels exactly as phi does on originals
             phi_perm = phi[:, perm]
             cfg = TreeConfig(k=2, n_min=4)
-            base = grow_arrays(X, sp.csr_matrix(Y), phi, cfg, RngStream(15, 1))
+            Ys, Ys_perm = sp.csr_matrix(Y), sp.csr_matrix(Y[:, perm])
+            base = grow_arrays(X, Ys, project(phi, Ys), cfg, stream(15, 1))
             permuted = grow_arrays(
-                X, sp.csr_matrix(Y[:, perm]), phi_perm, cfg, RngStream(15, 1)
+                X, Ys_perm, project(phi_perm, Ys_perm), cfg, stream(15, 1)
             )
             np.testing.assert_array_equal(
                 permuted.predict(X)[:, np.argsort(perm)], base.predict(X)
@@ -780,7 +780,7 @@ class TestSerialization:
         gen = np.random.default_rng(16)
         X = gen.random((30, 3))
         Y = sp.csr_matrix((gen.random((30, 5)) < 0.4).astype(float))
-        tree = grow_arrays(X, Y, None, TreeConfig(k=2, n_min=3), RngStream(9, 0))
+        tree = grow_arrays(X, Y, Y, TreeConfig(k=2, n_min=3), stream(9, 0))
         doc = json.loads(json.dumps(tree.to_dict()))
         back = Tree.from_dict(doc)
         assert trees_equal(tree, back)
@@ -807,7 +807,7 @@ class TestSerialization:
         gen = np.random.default_rng(16)
         X = gen.random((30, 3))
         Y = sp.csr_matrix((gen.random((30, 5)) < 0.4).astype(float))
-        tree = grow_arrays(X, Y, None, TreeConfig(k=2, n_min=3), RngStream(9, 0))
+        tree = grow_arrays(X, Y, Y, TreeConfig(k=2, n_min=3), stream(9, 0))
         assert tree.feature[0] >= 0
         doc = json.loads(json.dumps(tree.to_dict()))
         mutate(doc)
@@ -824,7 +824,7 @@ class TestAgainstSklearn:
             Y = gen.random((100, 4))
             for n_min in (2, 5):
                 cfg = TreeConfig(k=1, n_min=n_min)
-                mine = grow_arrays(X, Y, None, cfg, RngStream(trial, 0))
+                mine = grow_arrays(X, Y, Y, cfg, stream(trial, 0))
                 sk = sklearn_tree.DecisionTreeRegressor(
                     criterion="squared_error", min_samples_split=n_min, random_state=0
                 )

@@ -34,7 +34,8 @@ how the projection adds its terms shows.
 The decomposition lines digest ``estimate_ensemble`` estimates for a shared
 and a per-tree subspace config, as the Monte Carlo harness runs them, and for
 single trees (t=1) with no projection and with an identity map, under both
-splitters.  The ``io`` lines digest the bytes ``dump_svmlight_multilabel``
+splitters; the ``decomposition variance curve`` line digests an
+``ensemble_variance_curve`` over two ensemble sizes.  The ``io`` lines digest the bytes ``dump_svmlight_multilabel``
 writes for a yeast-shaped set (103 features, 14 labels), plain, gzipped and
 without a header, and the CSR arrays ``load_svmlight_multilabel`` reads back
 from each file and from a hand-written one (CRLF and lone CR newlines,
@@ -65,6 +66,7 @@ from projforest import (
     ProjectionSpec,
     TreeConfig,
     dump_svmlight_multilabel,
+    ensemble_variance_curve,
     estimate_ensemble,
     fit,
     load_svmlight_multilabel,
@@ -243,6 +245,21 @@ def run_decomposition():
         )
         report = estimate_ensemble(problem, cfg, n_ls=3, n_phi=3, n_eps=3, seed=29)
         print("decomposition t=1", policy, kind, splitter, report_digest(report))
+    curve = ensemble_variance_curve(
+        problem,
+        lambda t: EnsembleConfig(
+            t=t,
+            tree=TreeConfig(k=2, n_min=10, splitter="random_threshold"),
+            projection=ProjectionSpec("gaussian", 1),
+            policy="per_tree_subspace",
+        ),
+        [1, 3],
+        reps=4,
+        seed=31,
+    )
+    h = hashlib.sha256(curve.t_values.tobytes() + curve.variances.tobytes())
+    h.update(repr((curve.intercept, curve.slope, curve.r_squared)).encode())
+    print("decomposition variance curve", h.hexdigest())
 
 
 HANDWRITTEN = (
