@@ -239,10 +239,13 @@ def ensemble_variance_curve(problem, make_config, t_values, reps=400, seed=0):
     Every repetition redraws the learning sample and all fit randomness, so
     the measured variance includes every source.  Fits variance ~ a + b/t and
     reports the fit quality, so it needs ``reps >= 2`` and at least two
-    distinct t values.
+    distinct t values, each an integer of at least 1.
     """
     check_integer("reps", reps, 2)
-    t_values = np.asarray(list(t_values), dtype=np.int64)
+    t_values = list(t_values)
+    for t in t_values:
+        check_integer("t", t, 1)
+    t_values = np.asarray(t_values, dtype=np.int64)
     if np.unique(t_values).size < 2:
         raise ValueError("t_values needs at least two distinct ensemble sizes")
     master = stream(seed)

@@ -10,15 +10,17 @@ vectorized pass over running per-dimension sums, taken in blocks of whole
 nodes holding at most ``SCAN_BLOCK_BYTES`` of them (a larger node alone, a
 block of features at a time), so its cost per node is O(k * q * m) for q
 samples and m output dimensions with no per-feature and little per-node
-Python work:
-shrinking m shrinks training time proportionally.  A node's split does not
-depend on the other nodes scanned with it.  Each depth draws the features of
-all its splittable nodes in one call, in node order, and its nodes are
-numbered before any node of the next depth.  Random-threshold trees grow
-depth first, each node drawing its features and cuts when it is reached:
-their trees are small (a depth of a Monte Carlo harness tree holds 1-4
-nodes), so a level scan would batch little there.  Equal gains go to
-the lowest feature index, then the lowest threshold.
+Python work: shrinking m shrinks training time proportionally.  A tree with
+no more scan rows than outputs (n_t <= m, so q <= m at every node) reads
+the same sums from the Gram matrix G = Z Z^T of its rows instead, at
+O(k * q^2) per node plus one O(n_t^2 * m) product per tree.  A node's split
+does not depend on the other nodes scanned with it.  Each depth draws the
+features of all its splittable nodes in one call, in node order, and its
+nodes are numbered before any node of the next depth.  Random-threshold
+trees grow depth first, each node drawing its features and cuts when it is
+reached: their trees are small (a depth of a Monte Carlo harness tree holds
+1-4 nodes), so a level scan would batch little there.  Equal gains go to the
+lowest feature index, then the lowest threshold.
 
 A bootstrap sample of n rows holds only about 63% of them (1 - 1/e) once.
 Exhaustive trees grow on each distinct row once, weighted by its bootstrap
@@ -42,9 +44,10 @@ SPLITTERS = ("exhaustive", "random_threshold")
 # A node whose projected variance falls at or below this is treated as pure.
 PURE_NODE_TOL = 1e-12
 
-# The exhaustive scan holds at most this many bytes of prefix sums at once,
-# unless one feature of one node needs more, and sorts and scores chunks of
-# whole nodes whose per-entry arrays hold at most this many bytes each.
+# The exhaustive scan holds at most this many bytes of prefix sums (or Gram
+# row sums) at once, unless one feature (row) of one node needs more, and
+# sorts and scores chunks of whole nodes whose per-entry arrays hold at most
+# this many bytes each.
 SCAN_BLOCK_BYTES = 1 << 20
 
 # Blocks whose (features x outputs) row slab holds at least this many
@@ -125,7 +128,7 @@ def _prefix_sums(C):
         np.add(prev, cur, out=cur)
 
 
-def _scan_level(X, Z, weight, samples, sizes, W, M, M2, features):
+def _scan_level(X, Z, weight, samples, sizes, W, M, M2, features, G):
     """Best midpoint split of every node of a level, all nodes scanned together.
 
     Row r of X and Z stands for ``weight[r]`` samples, and row r of Z is
@@ -137,7 +140,7 @@ def _scan_level(X, Z, weight, samples, sizes, W, M, M2, features):
     and left-child entry count, plus ``samples`` with each node's entries
     stably sorted by that feature, so that a split node's children are its
     first ``n_left`` entries and the rest.  With unit weights every number is
-    the one an unweighted scan computes.
+    the one an unweighted scan computes; ``G`` is :func:`_gram` of Z.
 
     Nodes are sorted and scored in chunks of whole nodes holding at most
     ``SCAN_BLOCK_BYTES / 8`` (node, feature, sample) entries, and never more
@@ -156,7 +159,7 @@ def _scan_level(X, Z, weight, samples, sizes, W, M, M2, features):
     ordered = np.empty_like(samples)
     for a, b in _runs(k * sizes, min(SCAN_BLOCK_BYTES // 8, 1 << 20)):
         found = _scan_chunk(X, Z, weight, samples[bounds[a]:bounds[b]], sizes[a:b],
-                            W[a:b], M[a:b], M2[a:b], features[a:b])
+                            W[a:b], M[a:b], M2[a:b], features[a:b], G)
         for dest, part in zip(per_node, found):
             dest[a:b] = part
         ordered[bounds[a]:bounds[b]] = found[-1]
@@ -175,7 +178,7 @@ def _runs(weights, budget):
         a = b
 
 
-def _scan_chunk(X, Z, weight, samples, sizes, W, M, M2, features):
+def _scan_chunk(X, Z, weight, samples, sizes, W, M, M2, features, G):
     """:func:`_scan_level` on one chunk of nodes.
 
     The (node, feature) value segments are sorted in one pass, which leaves
@@ -184,10 +187,11 @@ def _scan_chunk(X, Z, weight, samples, sizes, W, M, M2, features):
     contiguous (k, q, m) array (or (kb, q, m) per block of features, see
     :func:`_prefix_blocks`) summed by :func:`_prefix_sums` and multiplied
     with ``M`` as one (q, m) matrix per feature, as a one-node scan does,
-    because BLAS results depend on the row count and stride.
-    Every boundary between distinct consecutive values is then scored at
-    once, and each node keeps its best segment (lowest feature on equal
-    gains), cut at its first best boundary (lowest threshold).
+    because BLAS results depend on the row count and stride.  With ``G``,
+    :func:`_gram_sums` takes the same sums from G instead.  Every boundary
+    between distinct consecutive values is then scored at once, and each
+    node keeps its best segment (lowest feature on equal gains), cut at its
+    first best boundary (lowest threshold).
     """
     s, k = features.shape
     q_all = samples.size
@@ -222,18 +226,22 @@ def _scan_chunk(X, Z, weight, samples, sizes, W, M, M2, features):
     np.cumsum(seg_size[:-1], out=seg_start[1:])
     c2 = np.empty(n_el)
     cm = np.empty(n_el)
-    for a, b, f0, f1 in _prefix_blocks(sizes, k, m):
-        kb = f1 - f0
-        lo = k * starts[a] + f0 * sizes[a]
-        hi = lo + kb * int(sizes[a:b].sum())
-        C = np.take(Z, rows[lo:hi], axis=0)
-        at = 0
-        for q, M_i in zip(sizes[a:b].tolist(), M[a:b]):
-            C_i = C[at:at + kb * q].reshape(kb, q, m)
-            _prefix_sums(C_i)
-            np.matmul(C_i, M_i, out=cm[lo + at:lo + at + kb * q].reshape(kb, q))
-            at += kb * q
-        np.einsum("ij,ij->i", C, C, out=c2[lo:hi])
+    if G is not None:
+        local = order % q_all
+        _gram_sums(G, samples, sizes, local - starts[node_of[local]], cm, c2)
+    else:
+        for a, b, f0, f1 in _prefix_blocks(sizes, k, m):
+            kb = f1 - f0
+            lo = k * starts[a] + f0 * sizes[a]
+            hi = lo + kb * int(sizes[a:b].sum())
+            C = np.take(Z, rows[lo:hi], axis=0)
+            at = 0
+            for q, M_i in zip(sizes[a:b].tolist(), M[a:b]):
+                C_i = C[at:at + kb * q].reshape(kb, q, m)
+                _prefix_sums(C_i)
+                np.matmul(C_i, M_i, out=cm[lo + at:lo + at + kb * q].reshape(kb, q))
+                at += kb * q
+            np.einsum("ij,ij->i", C, C, out=c2[lo:hi])
 
     # Boundary after entry e of a segment: the weight of entries 0..e goes
     # left.  Weights are integers, so these running sums are exact.
@@ -270,6 +278,36 @@ def _scan_chunk(X, Z, weight, samples, sizes, W, M, M2, features):
     ordered = rows[np.repeat(seg_start[best] - starts, sizes) + np.arange(q_all)]
     return (gains[best], features[np.arange(s), best_f], thr,
             cut - seg_start[best] + 1, ordered)
+
+
+def _gram_sums(G, samples, sizes, local, cm, c2):
+    """``cm`` and ``c2`` of a chunk of :func:`_scan_chunk`, from the Gram
+    matrix ``G`` of the scan rows instead of prefix sums of Z; ``local``
+    holds each sorted entry's index within its node's ``samples``.
+
+    For the rows z_0..z_e of a segment, C_e . M = sum_i<=e r_i, where r_i
+    sums row i of the node's block of G, and |C_e|^2 = sum_i<=e (G_ii +
+    2 L_i), where L_i sums G_ij over the rows j sorted before i.  Both sums
+    run over the node's rows in ``samples`` order, whatever the feature, a
+    block of rows at a time whose (k, rows, q) arrays hold at most
+    ``SCAN_BLOCK_BYTES`` (at least one row)."""
+    k = local.size // samples.size
+    at = 0
+    for q in sizes.tolist():
+        node, seg = samples[at:at + q], slice(k * at, k * (at + q))
+        loc = local[seg].reshape(k, q)
+        pos = np.argsort(loc, axis=1).astype(np.int32)  # compares 4x faster
+        r, inner = np.empty(q), np.empty((k, q))
+        step = max(1, SCAN_BLOCK_BYTES // (8 * k * q))
+        for j in range(0, q, step):
+            J = slice(j, j + step)
+            G_J = np.take(G, node[J, None] * G.shape[0] + node)
+            r[J] = G_J.sum(axis=1)
+            inner[:, J] = np.vecdot(pos[:, None, :] < pos[:, J, None], G_J)
+        inner = 2.0 * inner + G[node, node]
+        np.cumsum(r[loc], axis=1, out=cm[seg].reshape(k, q))
+        np.cumsum(np.take_along_axis(inner, loc, axis=1), axis=1, out=c2[seg].reshape(k, q))
+        at += q
 
 
 def _prefix_blocks(sizes, k, m):
@@ -348,6 +386,12 @@ def _node_sums(Z, weight, samples, sizes):
     return bounds, member @ weight, M, np.einsum("ij,ij->i", M, M)
 
 
+def _gram(Z):
+    """Z Z^T if Z has no more rows than columns, else None: every node then
+    has q <= m, so its Gram work k q^2 is at most its prefix work k q m."""
+    return Z @ Z.T if Z.shape[0] <= Z.shape[1] else None
+
+
 def best_split_exhaustive(X, Z, samples, features):
     """Public one-shot exhaustive split search over a node: the level scan
     that grows trees, run on this one node with every row weighing one
@@ -358,7 +402,7 @@ def best_split_exhaustive(X, Z, samples, features):
     sizes = np.array([samples.size])
     _, W, M, M2 = _node_sums(Z, weight, samples, sizes)
     gain, feature, threshold, _, _ = _scan_level(
-        to_dense(X), Z, weight, samples, sizes, W, M, M2, features[None, :]
+        to_dense(X), Z, weight, samples, sizes, W, M, M2, features[None, :], _gram(Z)
     )
     if not gain[0] > 0.0:
         return None
@@ -694,6 +738,7 @@ def _grow_by_depth(nodes, Xt, Zt, weight, rows, min_split, k, gen):
     their children, in order, to the next depth."""
     p = Xt.shape[1]
     znorm2 = np.einsum("ij,ij->i", Zt, Zt) / weight
+    G = _gram(Zt)
     ids = np.zeros(1, dtype=np.int64)
     samples = np.arange(rows.size, dtype=np.int64)
     sizes = np.array([rows.size])
@@ -708,7 +753,7 @@ def _grow_by_depth(nodes, Xt, Zt, weight, rows, min_split, k, gen):
         if scan.size:
             gain, feature, threshold, n_left, ordered = _scan_level(
                 Xt, Zt, weight, samples[np.repeat(open_, sizes)], sizes[scan], W[scan],
-                M[scan], M2[scan], _draw_features(gen, scan.size, p, k),
+                M[scan], M2[scan], _draw_features(gen, scan.size, p, k), G,
             )
             ok = gain > 0.0
             split[scan[ok]] = True

@@ -222,6 +222,15 @@ class TestVarianceCurve:
                                     lambda t: gaussian_cfg("per_tree_subspace", t=t),
                                     [1, 2], reps=reps)
 
+    @pytest.mark.parametrize("t_values", [[2.5, 3], [1, 3.0], [True, 3]],
+                             ids=["fraction", "float", "bool"])
+    def test_ensemble_sizes_must_be_integers(self, t_values):
+        # 2.5 used to be truncated to an ensemble of 2 trees.
+        with pytest.raises(ValueError, match="^t must be"):
+            ensemble_variance_curve(two_feature_problem(),
+                                    lambda t: gaussian_cfg("per_tree_subspace", t=t),
+                                    t_values, reps=2)
+
     @pytest.mark.parametrize("t_values", [[3], [], [2, 2]], ids=["one", "none", "repeated"])
     def test_needs_two_distinct_ensemble_sizes(self, t_values):
         with pytest.raises(ValueError, match="two distinct ensemble sizes"):

@@ -196,10 +196,12 @@ def split_problems(draw):
     """A level of 1-4 nodes over shared rows: up to 30 samples each, drawn
     from heavily tied integer features, runs of adjacent floats (where no
     midpoint lies strictly between two values) or continuous ones, with
-    some columns duplicated; binary or continuous outputs up to 20 wide;
-    every node examines its own k features.  Each row weighs one, or 1-4
-    as a bootstrap multiplicity would.  Also a scan budget in bytes: 0
-    scans one feature of one node at a time, the default whole nodes."""
+    some columns duplicated; binary or continuous outputs up to 20 wide, or
+    at least as wide as the rows are many (up to 40), where trees score
+    from the Gram matrix; every node examines its own k features.  Each row
+    weighs one, or 1-4 as a bootstrap multiplicity would.  Also a scan
+    budget in bytes: 0 scans one feature of one node (or one row of one
+    node's Gram block) at a time, the default whole nodes."""
     n = draw(st.integers(2, 30))
     p = draw(st.integers(1, 10))
     kind = draw(st.sampled_from(["ties", "adjacent", "continuous"]))
@@ -216,7 +218,7 @@ def split_problems(draw):
     for j in range(1, p):
         if draw(st.booleans()):
             X[:, j] = X[:, draw(st.integers(0, j - 1))]
-    m = draw(st.integers(1, 20))
+    m = draw(st.integers(1, 20) | st.integers(n, 40))
     zgen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if draw(st.booleans()):
         Z = zgen.integers(0, 2, size=(n, m)).astype(np.float64)
@@ -240,18 +242,18 @@ def split_problems(draw):
     return X, Z, weight, nodes, budget
 
 
-def scan_level(X, Z, weight, nodes):
+def scan_level(X, Z, weight, nodes, gram):
     """Per node of ``nodes`` (a list of (samples, features)), the gain,
     feature, threshold, left entry count and sorted samples that one call
     of the level scan returns for all of them together, row r of X and Z
-    weighing ``weight[r]``."""
+    weighing ``weight[r]``, scored from the Gram matrix if ``gram``."""
     sizes = np.array([samples.size for samples, _ in nodes])
     samples = np.concatenate([samples for samples, _ in nodes])
     features = np.array([features for _, features in nodes])
     Zw = Z * weight[:, None]
     bounds, W, M, M2 = tree_module._node_sums(Zw, weight, samples, sizes)
     *per_node, ordered = tree_module._scan_level(
-        X, Zw, weight, samples, sizes, W, M, M2, features
+        X, Zw, weight, samples, sizes, W, M, M2, features, Zw @ Zw.T if gram else None
     )
     return [
         tuple(a[i] for a in per_node) + (ordered[bounds[i]:bounds[i + 1]].tolist(),)
@@ -263,48 +265,67 @@ def scan_level(X, Z, weight, nodes):
 @given(split_problems())
 def test_exhaustive_split_matches_brute_force(problem):
     X, Z, weight, nodes, budget = problem
-    default_budget = tree_module.SCAN_BLOCK_BYTES
-    tree_module.SCAN_BLOCK_BYTES = budget
-    try:
-        level = scan_level(X, Z, weight, nodes)
-    finally:
-        tree_module.SCAN_BLOCK_BYTES = default_budget
-    for (samples, features), found in zip(nodes, level):
-        # A node's scan does not depend on its neighbours or on the budget.
-        assert found == scan_level(X, Z, weight, [(samples, features)])[0]
-        gain, feature, threshold = found[:3]
-        if (weight == 1.0).all():
-            rec = best_split_exhaustive(X, Z, samples, features)
-            if rec is None:
-                assert not gain > 0.0
-            else:
-                assert (rec.impurity_reduction, rec.feature, rec.threshold) == (
-                    gain, feature, threshold)
-        # A row of weight w splits as w copies of it would.
+    levels = []
+    for gram in (False, True):
+        default_budget = tree_module.SCAN_BLOCK_BYTES
+        tree_module.SCAN_BLOCK_BYTES = budget
+        try:
+            levels.append(scan_level(X, Z, weight, nodes, gram))
+        finally:
+            tree_module.SCAN_BLOCK_BYTES = default_budget
+        for (samples, features), found in zip(nodes, levels[-1]):
+            # A node's scan does not depend on its neighbours or on the budget.
+            assert found == scan_level(X, Z, weight, [(samples, features)], gram)[0]
+            gain, feature, threshold = found[:3]
+            # The one-shot search scores from G exactly when Z has no more
+            # rows than columns.
+            if (weight == 1.0).all() and gram == (Z.shape[0] <= Z.shape[1]):
+                rec = best_split_exhaustive(X, Z, samples, features)
+                if rec is None:
+                    assert not gain > 0.0
+                else:
+                    assert (rec.impurity_reduction, rec.feature, rec.threshold) == (
+                        gain, feature, threshold)
+            # A row of weight w splits as w copies of it would.
+            copies = np.repeat(samples, weight[samples].astype(np.int64))
+            check_against_brute_force(X, Z, copies, features, gain, feature, threshold)
+    # Both scans score the same splits, to rounding, and choose differently
+    # only between choices that tie within the oracle's tolerance.
+    for (samples, features), prefix, gram in zip(nodes, *levels):
         copies = np.repeat(samples, weight[samples].astype(np.int64))
-        check_against_brute_force(X, Z, copies, features, gain, feature, threshold)
+        scale = max(1.0, variance_sum(Z[copies]))
+        assert prefix[0] == gram[0] or abs(prefix[0] - gram[0]) <= 1e-12 * scale
+        if prefix[1:] != gram[1:] and (prefix[0] > 0.0 or gram[0] > 0.0):
+            assert check_against_brute_force(X, Z, copies, features, *prefix[:3]) > 1
 
 
 def check_against_brute_force(X, Z, samples, features, gain, feature, threshold):
+    """Check a scan's choice against every split of ``samples``.  Returns
+    how many choices tie with the best within the tolerance: distinct
+    splits (duplicated columns counting once), plus not splitting when no
+    split gains more than the tolerance."""
     splits = brute_force_splits(X, Z, samples, features)
     best = max(splits, key=lambda split: split[0], default=(0.0,))
     # The scan and the oracle sum in different orders, so gains agree to a
     # tolerance, and splits whose gains tie within it may be chosen either way.
     tol = 1e-9 * max(1.0, variance_sum(Z[samples]))
     top = best[0]
+    near = [(f, thr) for g, f, thr in splits if g >= top - tol]
+    distinct = len({(X[samples, f].tobytes(), thr) for f, thr in near})
+    ties = distinct + (top <= tol)
     if not gain > 0.0:
         assert top <= tol
-        return
+        return ties
     assert abs(gain - top) <= tol
-    near = [(f, thr) for g, f, thr in splits if g >= top - tol]
     assert (feature, threshold) in near
     # Duplicated columns tie exactly, and the lowest feature wins.
     twins = [f for f in features if np.array_equal(X[samples, f], X[samples, feature])]
     assert feature == twins[0]
     # When the best split is unique up to duplicated columns, the scan
     # returns exactly the oracle's choice.
-    if len({(X[samples, f].tobytes(), thr) for f, thr in near}) == 1:
+    if distinct == 1:
         assert (feature, threshold) == best[1:]
+    return ties
 
 
 def node_depths(tree):
@@ -375,39 +396,83 @@ class TestGrowthOrder:
         # A chunk holds at most SCAN_BLOCK_BYTES / 8 entries (or one node);
         # a block of prefix sums at most SCAN_BLOCK_BYTES (or one feature of
         # one node), and the blocks cover every (node, feature) once, in order.
-        Y = np.random.default_rng(22).standard_normal((120, 8))
+        # With 120 rows and 128 outputs the scan takes no prefix sums, and a
+        # (features, rows, q) block of its Gram row sums holds at most
+        # SCAN_BLOCK_BYTES (or one row of one node).
+        gen = np.random.default_rng(22)
         cfg = TreeConfig(k=4, n_min=2)
-        m = Y.shape[1]
-        chunk_sizes, views = [], []
+        chunk_sizes, views, gram_blocks = [], [], []
         scan_chunk, prefix_sums = tree_module._scan_chunk, tree_module._prefix_sums
+        vecdot = np.vecdot
 
-        def spy_chunk(X, Z, weight, samples, sizes, W, M, M2, features):
+        def spy_chunk(X, Z, weight, samples, sizes, W, M, M2, features, G):
             chunk_sizes.append(sizes.copy())
-            return scan_chunk(X, Z, weight, samples, sizes, W, M, M2, features)
+            return scan_chunk(X, Z, weight, samples, sizes, W, M, M2, features, G)
 
         def spy_prefix_sums(C):
             views.append(C.shape)
             prefix_sums(C)
 
+        def spy_vecdot(before, G_rows):
+            gram_blocks.append(before.shape)
+            return vecdot(before, G_rows)
+
         monkeypatch.setattr(tree_module, "_scan_chunk", spy_chunk)
         monkeypatch.setattr(tree_module, "_prefix_sums", spy_prefix_sums)
-        for budget in (0, 1 << 12, 1 << 40):
-            monkeypatch.setattr(tree_module, "SCAN_BLOCK_BYTES", budget)
-            chunk_sizes.clear()
-            views.clear()
-            grow_arrays(self.X, Y, Y, cfg, stream(5, 0))
-            assert max(sizes.size for sizes in chunk_sizes) > 1 or budget == 0
-            for sizes in chunk_sizes:
-                assert sizes.size == 1 or 8 * cfg.k * sizes.sum() <= budget
-                covered = []
-                for a, b, f0, f1 in tree_module._prefix_blocks(sizes, cfg.k, m):
-                    if (f0, f1) == (0, cfg.k):
-                        assert b - a == 1 or 8 * cfg.k * m * sizes[a:b].sum() <= budget
-                    else:
-                        assert b - a == 1 and (f1 - f0 == 1 or 8 * (f1 - f0) * m * sizes[a] <= budget)
-                    covered += [(i, f) for i in range(a, b) for f in range(f0, f1)]
-                assert covered == [(i, f) for i in range(sizes.size) for f in range(cfg.k)]
-            assert max(kb for kb, _, _ in views) == (1 if budget == 0 else cfg.k)
+        monkeypatch.setattr(np, "vecdot", spy_vecdot)
+        for m in (8, 128):
+            Y = gen.standard_normal((120, m))
+            for budget in (0, 1 << 12, 1 << 40):
+                monkeypatch.setattr(tree_module, "SCAN_BLOCK_BYTES", budget)
+                chunk_sizes.clear()
+                views.clear()
+                gram_blocks.clear()
+                grow_arrays(self.X, Y, Y, cfg, stream(5, 0))
+                assert max(sizes.size for sizes in chunk_sizes) > 1 or budget == 0
+                for sizes in chunk_sizes:
+                    assert sizes.size == 1 or 8 * cfg.k * sizes.sum() <= budget
+                if m > 120:
+                    assert not views
+                    for k, rows, q in gram_blocks:
+                        assert k == cfg.k and (rows == 1 or 8 * k * rows * q <= budget)
+                    # The root's 120 rows come in one block only when they fit.
+                    most = max(rows for _, rows, _ in gram_blocks)
+                    assert most == 120 if budget == 1 << 40 else 1 <= most < 120
+                else:
+                    assert not gram_blocks
+                    for sizes in chunk_sizes:
+                        covered = []
+                        for a, b, f0, f1 in tree_module._prefix_blocks(sizes, cfg.k, m):
+                            if (f0, f1) == (0, cfg.k):
+                                assert b - a == 1 or 8 * cfg.k * m * sizes[a:b].sum() <= budget
+                            else:
+                                assert b - a == 1 and (
+                                    f1 - f0 == 1 or 8 * (f1 - f0) * m * sizes[a] <= budget)
+                            covered += [(i, f) for i in range(a, b) for f in range(f0, f1)]
+                        assert covered == [(i, f) for i in range(sizes.size)
+                                           for f in range(cfg.k)]
+                    assert max(kb for kb, _, _ in views) == (1 if budget == 0 else cfg.k)
+
+    @pytest.mark.parametrize("bootstrap", [False, True])
+    def test_gram_path_iff_no_more_distinct_rows_than_outputs(self, monkeypatch, bootstrap):
+        # A tree scores from G = Zt Zt^T exactly when its n_t scan rows (the
+        # distinct rows of a bootstrap sample) are no more than its m outputs.
+        n = 60
+        n_t = np.unique(stream(7, 0).integers(0, n, size=n)).size if bootstrap else n
+        seen = []
+        scan_chunk = tree_module._scan_chunk
+
+        def spy_chunk(*args):
+            seen.append(None if args[-1] is None else args[-1].shape)
+            return scan_chunk(*args)
+
+        monkeypatch.setattr(tree_module, "_scan_chunk", spy_chunk)
+        cfg = TreeConfig(k=3, n_min=2, bootstrap=bootstrap)
+        for m, expected in ((n_t, (n_t, n_t)), (n_t - 1, None)):
+            Z = np.random.default_rng(23).standard_normal((n, m))
+            seen.clear()
+            grow_arrays(self.X[:n], Z, Z, cfg, stream(7, 0))
+            assert seen and set(seen) == {expected}
 
 
 class TestTreeConfig:

@@ -31,6 +31,11 @@ only this grid shows a change in the order in which leaf sums are added.
 The ``real-wide`` lines fit continuous outputs (40 wide, dense and CSR)
 under a sparse rademacher map at s = sqrt(d), m=16, so that a change in
 how the projection adds its terms shows.
+The ``gram`` lines fit 120 rows on 120 outputs, binary labels and
+continuous ones, each given dense and as CSR, with no projection and with a
+gaussian map at m = d, bootstrap on and off: every tree holds no more
+distinct rows than outputs, so the exhaustive scan scores its splits from
+the Gram matrix of its split targets.
 The decomposition lines digest ``estimate_ensemble`` estimates for a shared
 and a per-tree subspace config, as the Monte Carlo harness runs them, and for
 single trees (t=1) with no projection and with an identity map, under both
@@ -195,6 +200,21 @@ def run_rademacher(X, Y):
               storage, digest(ensemble, query))
 
 
+def run_gram(X, Y):
+    """Exhaustive fits whose trees hold no more distinct rows than outputs."""
+    train_X, query = X[:120], X[120:]
+    for (outputs, train_Y), (policy, kind), bootstrap, storage in itertools.product(
+        (("binary", Y[:120]), ("real", real_outputs(X, Y.shape[1], seed=23)[:120])),
+        WIDE_POLICIES, (False, True), ("dense", "csr")
+    ):
+        cfg = grid_config(policy, kind, Y.shape[1], 4, "exhaustive", bootstrap)
+        Ys = sp.csr_matrix(train_Y) if storage == "csr" else train_Y
+        ensemble, _ = _fit_arrays(train_X, Ys, cfg, cfg.master_seed, cfg.master_seed)
+        print("gram", outputs, policy, kind, "exhaustive",
+              "bootstrap" if bootstrap else "no-bootstrap", storage,
+              digest(ensemble, query))
+
+
 def run_yeast():
     """A yeast-shaped exhaustive fit, digested over a 200-row query batch."""
     ds = make_synthetic_multilabel(1200, 103, 14, n_clusters=32, labels_per_cluster=4,
@@ -356,6 +376,8 @@ def main():
     run_real_grid(X, real_outputs(X, 10, seed=7), 3, 4)
     X, _ = sparse_features(260, 12, 40, seed=9)
     run_rademacher(X, real_outputs(X, 40, seed=9))
+    X, Y = sparse_features(180, 12, 120, seed=21)
+    run_gram(X, Y.toarray())
     run_yeast()
     run_decomposition()
     run_io()
