@@ -216,7 +216,8 @@ def _scan_chunk(X, Z, weight, samples, sizes, W, M, M2, features, G):
     key_span = (int(rank[by_value[-1]]) + 1) * q_max
     key = np.add.outer(np.arange(k), node_of * k) * key_span
     key += rank.reshape(k, q_all) * q_max
-    key += np.arange(q_all) - starts[node_of]
+    at_node = np.arange(q_all) - starts[node_of]
+    key += at_node
     order = np.argsort(key, axis=None)
     rows = np.tile(samples, k)[order]
     Vs = V[order]
@@ -227,8 +228,7 @@ def _scan_chunk(X, Z, weight, samples, sizes, W, M, M2, features, G):
     c2 = np.empty(n_el)
     cm = np.empty(n_el)
     if G is not None:
-        local = order % q_all
-        _gram_sums(G, samples, sizes, local - starts[node_of[local]], cm, c2)
+        _gram_sums(G, samples, sizes, at_node[order % q_all], cm, c2)
     else:
         for a, b, f0, f1 in _prefix_blocks(sizes, k, m):
             kb = f1 - f0
@@ -303,7 +303,8 @@ def _gram_sums(G, samples, sizes, local, cm, c2):
             J = slice(j, j + step)
             G_J = np.take(G, node[J, None] * G.shape[0] + node)
             r[J] = G_J.sum(axis=1)
-            inner[:, J] = np.vecdot(pos[:, None, :] < pos[:, J, None], G_J)
+            before = pos[:, None, None, :] < pos[:, J, None, None]
+            inner[:, J] = np.matmul(before, G_J[..., None])[..., 0, 0]
         inner = 2.0 * inner + G[node, node]
         np.cumsum(r[loc], axis=1, out=cm[seg].reshape(k, q))
         np.cumsum(np.take_along_axis(inner, loc, axis=1), axis=1, out=c2[seg].reshape(k, q))
@@ -394,15 +395,14 @@ def _gram(Z):
 
 def best_split_exhaustive(X, Z, samples, features):
     """Public one-shot exhaustive split search over a node: the level scan
-    that grows trees, run on this one node with every row weighing one
-    (repeated ``samples`` count once per repetition)."""
+    that grows trees, run on the node's own rows (so the Gram rule applies
+    to the node), each entry weighing one, a repeated sample once per copy."""
     samples, features = _check_node(samples, features)
-    Z = np.asarray(Z, dtype=np.float64)
-    weight = np.ones(Z.shape[0])
-    sizes = np.array([samples.size])
-    _, W, M, M2 = _node_sums(Z, weight, samples, sizes)
+    Z = np.asarray(Z, dtype=np.float64)[samples]
+    rows, weight, sizes = np.arange(samples.size), np.ones(samples.size), np.array([samples.size])
+    _, W, M, M2 = _node_sums(Z, weight, rows, sizes)
     gain, feature, threshold, _, _ = _scan_level(
-        to_dense(X), Z, weight, samples, sizes, W, M, M2, features[None, :], _gram(Z)
+        to_dense(X)[samples], Z, weight, rows, sizes, W, M, M2, features[None, :], _gram(Z)
     )
     if not gain[0] > 0.0:
         return None

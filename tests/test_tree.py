@@ -277,15 +277,18 @@ def test_exhaustive_split_matches_brute_force(problem):
             # A node's scan does not depend on its neighbours or on the budget.
             assert found == scan_level(X, Z, weight, [(samples, features)], gram)[0]
             gain, feature, threshold = found[:3]
-            # The one-shot search scores from G exactly when Z has no more
-            # rows than columns.
-            if (weight == 1.0).all() and gram == (Z.shape[0] <= Z.shape[1]):
+            # The one-shot search is the scan of the node's own rows, scored
+            # from their G exactly when they are no more than the outputs.
+            q = samples.size
+            if (weight == 1.0).all() and gram == (q <= Z.shape[1]):
                 rec = best_split_exhaustive(X, Z, samples, features)
+                own = scan_level(X[samples], Z[samples], np.ones(q),
+                                 [(np.arange(q), features)], gram)[0][:3]
                 if rec is None:
-                    assert not gain > 0.0
+                    assert not own[0] > 0.0
                 else:
-                    assert (rec.impurity_reduction, rec.feature, rec.threshold) == (
-                        gain, feature, threshold)
+                    assert (rec.impurity_reduction, rec.feature, rec.threshold) == own
+                check_against_brute_force(X, Z, samples, features, *own)
             # A row of weight w splits as w copies of it would.
             copies = np.repeat(samples, weight[samples].astype(np.int64))
             check_against_brute_force(X, Z, copies, features, gain, feature, threshold)
@@ -403,7 +406,7 @@ class TestGrowthOrder:
         cfg = TreeConfig(k=4, n_min=2)
         chunk_sizes, views, gram_blocks = [], [], []
         scan_chunk, prefix_sums = tree_module._scan_chunk, tree_module._prefix_sums
-        vecdot = np.vecdot
+        matmul = np.matmul
 
         def spy_chunk(X, Z, weight, samples, sizes, W, M, M2, features, G):
             chunk_sizes.append(sizes.copy())
@@ -413,13 +416,14 @@ class TestGrowthOrder:
             views.append(C.shape)
             prefix_sums(C)
 
-        def spy_vecdot(before, G_rows):
-            gram_blocks.append(before.shape)
-            return vecdot(before, G_rows)
+        def spy_matmul(a, b, **kwargs):
+            if a.ndim == 4:  # the Gram row sums' (features, rows, 1, q) masks
+                gram_blocks.append(a.shape[:2] + a.shape[3:])
+            return matmul(a, b, **kwargs)
 
         monkeypatch.setattr(tree_module, "_scan_chunk", spy_chunk)
         monkeypatch.setattr(tree_module, "_prefix_sums", spy_prefix_sums)
-        monkeypatch.setattr(np, "vecdot", spy_vecdot)
+        monkeypatch.setattr(np, "matmul", spy_matmul)
         for m in (8, 128):
             Y = gen.standard_normal((120, m))
             for budget in (0, 1 << 12, 1 << 40):
@@ -473,6 +477,28 @@ class TestGrowthOrder:
             seen.clear()
             grow_arrays(self.X[:n], Z, Z, cfg, stream(7, 0))
             assert seen and set(seen) == {expected}
+
+    def test_one_shot_search_decides_the_gram_path_on_the_node(self, monkeypatch):
+        # The one-shot search scores from G exactly when the node's entries
+        # (repeated samples counted each time) are no more than the outputs,
+        # whatever the number of rows of Z.
+        seen = []
+        scan_chunk = tree_module._scan_chunk
+
+        def spy_chunk(*args):
+            seen.append(None if args[-1] is None else args[-1].shape)
+            return scan_chunk(*args)
+
+        monkeypatch.setattr(tree_module, "_scan_chunk", spy_chunk)
+        tall = np.random.default_rng(24).standard_normal((60, 20))
+        wide = tall[:10]
+        for Z, samples, expected in ((tall, np.arange(20), (20, 20)),
+                                     (tall, np.arange(21), None),
+                                     (wide, np.arange(10), (10, 10)),
+                                     (wide, np.tile(np.arange(10), 3), None)):
+            seen.clear()
+            best_split_exhaustive(self.X, Z, samples, [0, 1])
+            assert seen == [expected]
 
 
 class TestTreeConfig:
