@@ -84,10 +84,11 @@ class Ensemble:
         for binary labels (entries are averaged label frequencies).  X is
         densified and checked (width, finite values) once for all trees."""
         X = self.trees[0].check_rows(X)
-        acc = self.trees[0].predict(X, checked=True).copy()
+        acc = self.trees[0].predict(X, checked=True)
         for tree in self.trees[1:]:
             acc += tree.predict(X, checked=True)
-        return acc / self.t
+        acc /= self.t
+        return acc
 
     def save(self, path):
         """Write a JSON document: manifest (policy, spec, seeds) plus trees.

@@ -30,6 +30,10 @@ drives the ``n_min`` test, its impurity, its split gains and its leaf
 count, while its entry count (distinct rows) lays out its segments.  With
 unit weights, as without bootstrap, every number is the unweighted one.
 Random-threshold trees keep every copy as a row of its own.
+
+Routing moves all rows of a batch one depth per step, through a step table
+that each call builds from the children arrays (a leaf steps to itself),
+until no row is on a split node.
 """
 
 from dataclasses import dataclass
@@ -465,8 +469,9 @@ class Tree:
         return self.leaf_values.shape[1]
 
     def check_rows(self, X):
-        """X (dense or sparse) as a dense float64 array, after checking that
-        it is a matrix of this tree's width with only finite values."""
+        """X (dense or sparse) as a C-contiguous dense float64 array, after
+        checking that it is a matrix of this tree's width with only finite
+        values.  A C-contiguous float64 X is returned as it is."""
         X = to_dense(X)
         if X.ndim != 2 or X.shape[1] != self.n_features:
             raise ValueError(
@@ -475,7 +480,7 @@ class Tree:
                 )
             )
         check_finite(X, "X contains non-finite values")
-        return X
+        return np.ascontiguousarray(X)
 
     def apply(self, X, *, checked=False):
         """Leaf index reached by every row of X (dense or sparse).  Rows of
@@ -483,21 +488,33 @@ class Tree:
 
         With ``checked`` the caller passes an X that :meth:`check_rows`
         returned, so a forest checks its input once for all trees.
+
+        Every row takes one step per depth, all rows at once, through a
+        table built per call: entry ``2 * node + 1`` is the node a row at
+        ``node`` moves to when its value exceeds the threshold, entry
+        ``2 * node`` the one it moves to otherwise, and a leaf steps to
+        itself.  A row reads its value as ``Xflat[row * p + feature]``; on a
+        leaf (feature < 0) that index is clipped into range and the value
+        is ignored.  Routing stops once no row is on a split node.  For the
+        finite values checked here, "x > threshold goes right" is exactly
+        "x <= threshold goes left".
         """
         if not checked:
             X = self.check_rows(X)
-        node = np.zeros(X.shape[0], dtype=np.int64)
-        while True:
-            f = self.feature[node]
-            active = f >= 0
-            if not active.any():
-                return self.leaf_id[node]
-            idx = np.nonzero(active)[0]
-            nd = node[idx]
-            go_left = X[idx, f[idx]] <= self.threshold[nd]
-            node[idx] = np.where(
-                go_left, self.children_left[nd], self.children_right[nd]
-            )
+        n, p = X.shape
+        split = self.feature >= 0
+        step = np.where(split, np.stack([self.children_left, self.children_right]),
+                        np.arange(split.size)).T.ravel()
+        Xflat = X.ravel()
+        row_start = np.arange(0, n * p, p)
+        node = np.zeros(n, dtype=np.int64)
+        while n:
+            f = self.feature.take(node)
+            if f.max() < 0:
+                break
+            x = Xflat.take(row_start + f, mode="clip")
+            node = step.take(2 * node + (x > self.threshold.take(node)))
+        return self.leaf_id.take(node)
 
     def predict(self, X, *, checked=False):
         """Leaf vector (length d) for every row of X, as an (n, d) array;
@@ -527,16 +544,17 @@ class Tree:
             raise ValueError(
                 "unsupported tree document version: {!r}".format(doc.get("version"))
             )
+        check_integer("tree document: n_features", doc["n_features"], 1)
         tree = cls(
-            feature=np.asarray(doc["feature"], dtype=np.int64),
-            threshold=np.asarray(doc["threshold"], dtype=np.float64),
-            children_left=np.asarray(doc["children_left"], dtype=np.int64),
-            children_right=np.asarray(doc["children_right"], dtype=np.int64),
-            leaf_id=np.asarray(doc["leaf_id"], dtype=np.int64),
-            leaf_values=np.asarray(doc["leaf_values"], dtype=np.float64).reshape(
+            feature=_doc_numbers(doc, "feature", "i"),
+            threshold=_doc_numbers(doc, "threshold", "if"),
+            children_left=_doc_numbers(doc, "children_left", "i"),
+            children_right=_doc_numbers(doc, "children_right", "i"),
+            leaf_id=_doc_numbers(doc, "leaf_id", "i"),
+            leaf_values=_doc_numbers(doc, "leaf_values", "if").reshape(
                 len(doc["leaf_counts"]), -1
             ),
-            leaf_counts=np.asarray(doc["leaf_counts"], dtype=np.int64),
+            leaf_counts=_doc_numbers(doc, "leaf_counts", "i"),
             n_features=doc["n_features"],
         )
         tree._check_structure()
@@ -567,6 +585,20 @@ class Tree:
                              "the leaf_values rows")
         check_finite(self.threshold, "tree document: a threshold is not finite")
         check_finite(self.leaf_values, "tree document: a leaf value is not finite")
+
+
+def _doc_numbers(doc, name, kinds):
+    """Field ``name`` of a tree document as an int64 (``kinds`` "i") or
+    float64 ("if") array, from a list (a list of rows for ``leaf_values``).
+    A field holding a string, a bool, or (for "i") a float or an integer
+    outside int64 is rejected, naming the field, rather than converted."""
+    values = doc[name]
+    a = np.asarray(values)
+    rows = values if a.ndim == 2 else [values]
+    if a.dtype.kind not in kinds or any(bool in map(type, row) for row in rows):
+        raise ValueError("tree document: {} must hold {}".format(
+            name, "integers" if kinds == "i" else "numbers"))
+    return a.astype(np.int64 if kinds == "i" else np.float64)
 
 
 def _leaf_sums(Y, leaf_of_row, multiplicity, n_leaves):

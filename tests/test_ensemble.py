@@ -1,4 +1,6 @@
 import json
+import os
+import tempfile
 import time
 from functools import lru_cache
 
@@ -9,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from projforest import (
+    DataSet,
     EnsembleConfig,
     Ensemble,
     ProjectionSpec,
@@ -182,19 +185,63 @@ def property_forest(seed):
     return fit(small_data(seed=20), config("per_tree_subspace", t=4, seed=seed))
 
 
+def chain_tree(p, d, cuts):
+    """A tree with a leaf at every depth: depth i splits on feature i % p at
+    ``cuts[i]`` and goes on to the right at even depths, to the left at odd
+    ones.  Leaf j predicts j in every output."""
+    n = 2 * len(cuts) + 1
+    feature = np.full(n, -1)
+    threshold = np.zeros(n)
+    left, right = np.full(n, -1), np.full(n, -1)
+    node = 0
+    for depth, cut in enumerate(cuts):
+        feature[node], threshold[node] = depth % p, cut
+        left[node], right[node] = 2 * depth + 1, 2 * depth + 2
+        node = right[node] if depth % 2 == 0 else left[node]
+    leaf_id = np.full(n, -1)
+    leaf_id[feature < 0] = np.arange(len(cuts) + 1)
+    leaf_values = np.repeat(np.arange(len(cuts) + 1.0)[:, None], d, axis=1)
+    return Tree(feature, threshold, left, right, leaf_id, leaf_values,
+                np.ones(len(cuts) + 1, dtype=np.int64), p)
+
+
+@lru_cache(maxsize=None)
+def hand_built_forest():
+    """A single-leaf tree (its rows take no step) and a six-deep chain tree,
+    as wide as ``small_data``."""
+    p, d = 4, 8
+    single_leaf = Tree(np.array([-1]), np.zeros(1), np.array([-1]), np.array([-1]),
+                       np.array([0]), np.full((1, d), 0.25), np.array([1]), p)
+    return Ensemble([single_leaf, chain_tree(p, d, [-3.0, 3.0, -2.0, 2.0, -1.0, 1.0])],
+                    config=None)
+
+
+def row_layouts(X):
+    """The same rows as a C-ordered, a Fortran-ordered and a strided column
+    view of a wider array, and as CSR."""
+    wide = np.zeros((X.shape[0], 2 * X.shape[1]))
+    wide[:, ::2] = X
+    return {"C": X, "F": np.asfortranarray(X), "strided": wide[:, ::2],
+            "csr": sp.csr_matrix(X)}
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_predict_on_csr_and_dense_rows_is_the_mean_of_tree_walks(data):
-    ens = property_forest(data.draw(st.integers(0, 3)))
+    which = data.draw(st.integers(0, 4))
+    ens = hand_built_forest() if which == 4 else property_forest(which)
     # Values exactly at a threshold exercise the "<= goes left" boundary.
     cuts = sorted({float(v) for tree in ens.trees for v in tree.threshold[tree.feature >= 0]})
     value = st.floats(-6.0, 6.0) | st.sampled_from(cuts) | st.just(0.0)
-    n_rows = data.draw(st.integers(1, 6))
+    n_rows = data.draw(st.integers(0, 6))
     X = data.draw(arrays(np.float64, (n_rows, ens.n_features), elements=value))
-    dense = ens.predict(X)
-    np.testing.assert_array_equal(ens.predict(sp.csr_matrix(X)), dense)
-    walks = [sum(tree_walk(tree, x) for tree in ens.trees) / ens.t for x in X]
-    np.testing.assert_array_equal(dense, np.array(walks))
+    walks = np.array([[tree_walk(tree, x) for x in X] for tree in ens.trees])
+    walks = walks.reshape(ens.t, n_rows, ens.n_outputs)
+    for layout, rows in row_layouts(X).items():
+        for tree, walk in zip(ens.trees, walks):
+            np.testing.assert_array_equal(tree.predict(rows), walk, err_msg=layout)
+        np.testing.assert_array_equal(ens.predict(rows), walks.sum(axis=0) / ens.t,
+                                      err_msg=layout)
 
 
 class TestDeterminism:
@@ -287,6 +334,32 @@ class TestSaveLoad:
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match=message):
             Ensemble.load(path)
+
+
+@settings(max_examples=100, deadline=None)
+@given(splitter=st.sampled_from(["exhaustive", "random_threshold"]),
+       bootstrap=st.booleans(), t=st.integers(1, 3), csr=st.booleans(),
+       policy=st.sampled_from(["shared_subspace", "per_tree_subspace", "no_projection"]),
+       n=st.integers(5, 40), p=st.integers(1, 4), d=st.integers(1, 6),
+       seed=st.integers(0, 2**16))
+def test_save_load_predict_round_trip(splitter, bootstrap, t, csr, policy, n, p, d, seed):
+    ds = make_synthetic_multilabel(n, p, d, n_clusters=3, seed=seed)
+    X = sp.csr_matrix(ds.X) if csr else ds.X
+    cfg = EnsembleConfig(
+        t=t, tree=TreeConfig(k=p, n_min=2, splitter=splitter, bootstrap=bootstrap),
+        projection=None if policy == "no_projection" else ProjectionSpec("gaussian", 2),
+        policy=policy, master_seed=seed,
+    )
+    ens = fit(DataSet(X, ds.Y), cfg)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model.json")
+        ens.save(path)
+        back = Ensemble.load(path)
+    assert back.config == ens.config
+    assert back.t == t and all(trees_equal(a, b) for a, b in zip(ens.trees, back.trees))
+    query = np.random.default_rng(seed).normal(scale=2.0, size=(7, p))
+    for rows in (X, query, sp.csr_matrix(query)):
+        np.testing.assert_array_equal(back.predict(rows), ens.predict(rows))
 
 
 def split_nodes(doc):

@@ -892,8 +892,27 @@ class TestSerialization:
          "leaf value is not finite"),
         (lambda doc: doc["leaf_values"][-1].__setitem__(0, np.nan),
          "leaf value is not finite"),
+        # Each value below is one that a cast would turn into a valid tree.
+        (lambda doc: doc["feature"].__setitem__(0, doc["feature"][0] + 0.9),
+         "feature must hold integers"),
+        (lambda doc: doc["children_left"].__setitem__(0, 1.5),
+         "children_left must hold integers"),
+        (lambda doc: doc["children_right"].__setitem__(0, 1e20),
+         "children_right must hold integers"),
+        (lambda doc: doc["feature"].__setitem__(0, True), "feature must hold integers"),
+        (lambda doc: doc["leaf_id"].__setitem__(-1, str(doc["leaf_id"][-1])),
+         "leaf_id must hold integers"),
+        (lambda doc: doc["threshold"].__setitem__(0, repr(doc["threshold"][0])),
+         "threshold must hold numbers"),
+        (lambda doc: doc.update(n_features=3.7), "n_features must be an integer"),
+        (lambda doc: doc.update(n_features="3"), "n_features must be an integer"),
+        (lambda doc: doc["leaf_counts"].__setitem__(0, doc["leaf_counts"][0] + 0.5),
+         "leaf_counts must hold integers"),
     ], ids=["format", "node-array-length", "feature-out-of-range", "nan-threshold",
-            "inf-threshold", "inf-leaf-value", "nan-leaf-value"])
+            "inf-threshold", "inf-leaf-value", "nan-leaf-value", "fractional-feature",
+            "fractional-child", "huge-child", "bool-feature", "string-leaf-id",
+            "string-threshold", "fractional-n-features", "string-n-features",
+            "fractional-leaf-count"])
     def test_corrupt_document_rejected(self, mutate, message):
         gen = np.random.default_rng(16)
         X = gen.random((30, 3))

@@ -23,6 +23,8 @@ m=16, the scan's prefix sums run slab by slab under a projection too (k=8
 features times m outputs reach ``tree.SLAB_RECURRENCE_MIN``).  The ``yeast``
 line fits a yeast-shaped set (1000 bootstrap rows, 103 features, 14 labels,
 k=10, m=3, t=2), whose deep levels hold many nodes in one scan chunk.
+The ``predict-layouts`` line digests one fit's predictions on the same rows
+given C-ordered, Fortran-ordered, as a strided column view and as CSR.
 
 The real-valued grid fits on continuous outputs (negative values and zeros
 included), given dense and as CSR, with both splitters and bootstrap on and
@@ -231,6 +233,22 @@ def run_yeast():
     print("yeast per_tree_subspace gaussian exhaustive bootstrap", digest(ensemble, query))
 
 
+def run_predict_layouts():
+    """One fit's predictions on the same rows given C-ordered,
+    Fortran-ordered, as a strided column view of a wider array and as CSR,
+    digested together."""
+    X, Y = sparse_features(260, 12, 10, seed=25)
+    cfg = grid_config("per_tree_subspace", "gaussian", 3, 4, "exhaustive", True)
+    ensemble = fit(DataSet(X[:200], Y[:200]), cfg)
+    query = X[200:]
+    wide = np.zeros((query.shape[0], 2 * query.shape[1]))
+    wide[:, ::2] = query
+    h = hashlib.sha256()
+    for rows in (query, np.asfortranarray(query), wide[:, ::2], sp.csr_matrix(query)):
+        h.update(ensemble.predict(rows).tobytes())
+    print("predict-layouts C F strided csr", h.hexdigest())
+
+
 def report_digest(report):
     """SHA-256 over the estimates and standard errors of every term."""
     h = hashlib.sha256()
@@ -379,6 +397,7 @@ def main():
     X, Y = sparse_features(180, 12, 120, seed=21)
     run_gram(X, Y.toarray())
     run_yeast()
+    run_predict_layouts()
     run_decomposition()
     run_io()
     run_cli_lines()
