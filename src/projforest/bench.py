@@ -141,7 +141,9 @@ class ExperimentConfig:
     fresh master seeds: repeated randomized runs on one fixed split
     (``fixed_holdout`` plus ``fit_repeats = 10``) and fresh-split repetitions
     (``shuffled_repeats``) are both expressible.  ``seed`` must be an
-    integer >= 0 and ``fit_repeats`` one >= 1.
+    integer >= 0 and ``fit_repeats`` one >= 1.  ``grid`` is copied, not
+    changed, and an axis given as one string rather than a list of values is
+    rejected.
     """
 
     data: str
@@ -151,9 +153,13 @@ class ExperimentConfig:
     fit_repeats: int = 1
 
     def __post_init__(self):
-        for axis in self.grid:
+        self.grid = dict(self.grid)
+        for axis, values in self.grid.items():
             if axis not in GRID_AXES:
                 raise ValueError("unknown grid axis: {!r}".format(axis))
+            if isinstance(values, str):
+                raise ValueError("grid axis {!r} must be a list of values, got the "
+                                 "string {!r}".format(axis, values))
         for axis, default in _AXIS_DEFAULTS.items():
             self.grid.setdefault(axis, [default])
         if any(len(v) == 0 for v in self.grid.values()):
@@ -288,14 +294,7 @@ def write_grid_csv(rows, path):
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
         for row in rows:
-            writer.writerow(
-                [
-                    repr(float(row[c]))
-                    if c in ("lrap", "fit_seconds", "project_seconds", "s_resolved")
-                    else str(row[c])
-                    for c in CSV_COLUMNS
-                ]
-            )
+            writer.writerow([row[c] for c in CSV_COLUMNS])
 
 
 def read_grid_csv(path):
@@ -365,9 +364,4 @@ def write_summary_csv(table, path):
         writer = csv.writer(fh)
         writer.writerow(columns)
         for entry in table:
-            writer.writerow(
-                [
-                    repr(float(entry[c])) if c in ("mean", "std") else str(entry[c])
-                    for c in columns
-                ]
-            )
+            writer.writerow([entry[c] for c in columns])

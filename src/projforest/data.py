@@ -13,6 +13,21 @@ def check_integer(name, value, minimum):
         raise ValueError("{} must be >= {}, got {}".format(name, minimum, value))
 
 
+def check_document(doc, what, required=(), allowed=None):
+    """Reject a parsed JSON ``doc`` that is not an object, lacks a key of
+    ``required`` or, given ``allowed``, holds a key outside it, with a
+    ``ValueError`` naming ``what`` and the key."""
+    if not isinstance(doc, dict):
+        raise ValueError("{} must be a JSON object, got {}".format(what, type(doc).__name__))
+    for key in required:
+        if key not in doc:
+            raise ValueError("{} has no field {!r}".format(what, key))
+    if allowed is not None:
+        for key in doc:
+            if key not in allowed:
+                raise ValueError("{} has an unknown field {!r}".format(what, key))
+
+
 def check_finite(A, message):
     """Raise ``ValueError(message)`` if a dense or sparse A holds a non-finite
     value (a sparse matrix is checked by its stored entries)."""

@@ -112,15 +112,9 @@ class DecompositionReport:
             writer.writerow(["probe", "term", "estimate", "se"])
             for qi in range(self.probes.shape[0]):
                 for term in TERMS:
-                    writer.writerow(
-                        [qi, term, repr(float(self.estimates[term][qi])),
-                         repr(float(self.se[term][qi]))]
-                    )
+                    writer.writerow([qi, term, self.estimates[term][qi], self.se[term][qi]])
             for term in TERMS:
-                writer.writerow(
-                    ["mean", term, repr(self.mean_estimate[term]),
-                     repr(self.mean_se[term])]
-                )
+                writer.writerow(["mean", term, self.mean_estimate[term], self.mean_se[term]])
 
 
 def _collect_predictions(problem, cfg, n_ls, n_phi, n_eps, seed):

@@ -17,9 +17,9 @@ other exactly.
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
-from .data import check_integer, to_dense
+from .data import check_document, check_integer, to_dense
 from .projection import ProjectionSpec, generate, pca_projection, project
 from .rng import stream
 from .tree import Tree, TreeConfig, grow_arrays
@@ -119,22 +119,29 @@ class Ensemble:
 
     @classmethod
     def load(cls, path):
+        """Read a document written by :meth:`save`.  A malformed one (a
+        missing or unknown field, a field of the wrong type, a tree that is
+        not one binary tree) raises a ``ValueError`` naming the field."""
         with open(path) as fh:
             doc = json.load(fh)
-        if doc.get("format") != cls.FORMAT:
+        if not isinstance(doc, dict) or doc.get("format") != cls.FORMAT:
             raise ValueError("not a serialized ensemble document")
         if doc.get("version") != cls.VERSION:
             raise ValueError(
                 "unsupported ensemble document version: {!r}".format(doc.get("version"))
             )
+        check_document(doc, "ensemble document", _DOC_FIELDS)
         spec = doc["projection"]
         config = EnsembleConfig(
             t=doc["t"],
-            tree=TreeConfig(**doc["tree"]),
-            projection=None if spec is None else ProjectionSpec(**spec),
+            tree=_doc_config(doc["tree"], "tree", TreeConfig),
+            projection=None if spec is None else _doc_config(spec, "projection",
+                                                             ProjectionSpec),
             policy=doc["policy"],
             master_seed=doc["master_seed"],
         )
+        if not isinstance(doc["trees"], list):
+            raise ValueError("ensemble document: trees must be a list")
         trees = [Tree.from_dict(td) for td in doc["trees"]]
         if len(trees) != config.t:
             raise ValueError("document declares t={} but holds {} trees".format(
@@ -142,6 +149,20 @@ class Ensemble:
         if len({(tree.n_features, tree.n_outputs) for tree in trees}) != 1:
             raise ValueError("trees disagree on the feature or label count")
         return cls(trees, config)
+
+
+# The fields of an ensemble document besides its format and version.
+_DOC_FIELDS = ("policy", "master_seed", "t", "tree", "projection", "trees")
+
+
+def _doc_config(doc, name, cls):
+    """The config dataclass ``cls`` built from field ``name`` of an ensemble
+    document, which must hold each field of ``cls`` without a default and no
+    field that ``cls`` lacks."""
+    check_document(doc, "ensemble document: " + name,
+                   [f.name for f in fields(cls) if f.default is MISSING],
+                   [f.name for f in fields(cls)])
+    return cls(**doc)
 
 
 def fit(ds, cfg):

@@ -17,10 +17,11 @@ O(k * q^2) per node plus one O(n_t^2 * m) product per tree.  A node's split
 does not depend on the other nodes scanned with it.  Each depth draws the
 features of all its splittable nodes in one call, in node order, and its
 nodes are numbered before any node of the next depth.  Random-threshold
-trees grow depth first, each node drawing its features and cuts when it is
-reached: their trees are small (a depth of a Monte Carlo harness tree holds
-1-4 nodes), so a level scan would batch little there.  Equal gains go to the
-lowest feature index, then the lowest threshold.
+trees grow depth first, each node drawing its features (the same way, the
+k smallest of p uniform keys) and cuts when it is reached: their trees are
+small (a depth of a Monte Carlo harness tree holds 1-4 nodes), so a level
+scan would batch little there.  Equal gains go to the lowest feature index,
+then the lowest threshold.
 
 A bootstrap sample of n rows holds only about 63% of them (1 - 1/e) once.
 Exhaustive trees grow on each distinct row once, weighted by its bootstrap
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .data import check_finite, check_integer, to_dense
+from .data import check_document, check_finite, check_integer, to_dense
 
 SPLITTERS = ("exhaustive", "random_threshold")
 
@@ -378,10 +379,10 @@ def _node_sums(Z, weight, samples, sizes):
 
     W and M are sparse (node x row) products with ``weight`` and Z, which
     add each node's rows one after another in ``samples`` order, apart from
-    every other node.
-    ``np.add.reduceat`` over the gathered rows would add the same way but
-    walks each output column with a stride of m: at m=1000 it took 4-10 ms
-    a depth against about 1 ms for the product.
+    every other node.  ``np.add.reduceat`` over the gathered rows would sum
+    each output column pairwise instead, which rounds differently in the
+    last bits, and walks each column with a stride of m: at m=1000 it took
+    4-10 ms a depth against about 1 ms for the product.
     """
     bounds = np.zeros(sizes.size + 1, dtype=np.int64)
     np.cumsum(sizes, out=bounds[1:])
@@ -423,6 +424,13 @@ def best_split_random_threshold(X, Z, samples, features, gen):
         to_dense(X), Zs, M, float(M @ M), samples, features, gen
     )
     return None if found is None else found[0]
+
+
+# The array fields of a tree document, in document order: integer ("i") or
+# real ("if").
+_DOC_ARRAYS = {"feature": "i", "threshold": "if", "children_left": "i",
+               "children_right": "i", "leaf_id": "i", "leaf_values": "if",
+               "leaf_counts": "i"}
 
 
 class Tree:
@@ -523,53 +531,37 @@ class Tree:
 
     def to_dict(self):
         """Plain-serializable document; see README for the schema."""
-        return {
-            "format": self.FORMAT,
-            "version": self.VERSION,
-            "n_features": self.n_features,
-            "feature": self.feature.tolist(),
-            "threshold": self.threshold.tolist(),
-            "children_left": self.children_left.tolist(),
-            "children_right": self.children_right.tolist(),
-            "leaf_id": self.leaf_id.tolist(),
-            "leaf_values": self.leaf_values.tolist(),
-            "leaf_counts": self.leaf_counts.tolist(),
-        }
+        return {"format": self.FORMAT, "version": self.VERSION, "n_features": self.n_features,
+                **{name: getattr(self, name).tolist() for name in _DOC_ARRAYS}}
 
     @classmethod
     def from_dict(cls, doc):
-        if doc.get("format") != cls.FORMAT:
+        if not isinstance(doc, dict) or doc.get("format") != cls.FORMAT:
             raise ValueError("not a serialized tree document")
         if doc.get("version") != cls.VERSION:
             raise ValueError(
                 "unsupported tree document version: {!r}".format(doc.get("version"))
             )
+        check_document(doc, "tree document", ("n_features", *_DOC_ARRAYS))
         check_integer("tree document: n_features", doc["n_features"], 1)
-        tree = cls(
-            feature=_doc_numbers(doc, "feature", "i"),
-            threshold=_doc_numbers(doc, "threshold", "if"),
-            children_left=_doc_numbers(doc, "children_left", "i"),
-            children_right=_doc_numbers(doc, "children_right", "i"),
-            leaf_id=_doc_numbers(doc, "leaf_id", "i"),
-            leaf_values=_doc_numbers(doc, "leaf_values", "if").reshape(
-                len(doc["leaf_counts"]), -1
-            ),
-            leaf_counts=_doc_numbers(doc, "leaf_counts", "i"),
-            n_features=doc["n_features"],
-        )
+        tree = cls(n_features=doc["n_features"], **{
+            name: _doc_numbers(doc, name, kinds) for name, kinds in _DOC_ARRAYS.items()})
         tree._check_structure()
         return tree
 
     def _check_structure(self):
         """Reject arrays that do not encode one binary tree, so that routing
-        always ends at a leaf and every leaf has its own ``leaf_values`` row,
-        and non-finite thresholds or leaf values, which would route or
-        predict silently wrong."""
+        always ends at a leaf and every leaf has its own ``leaf_values`` row
+        and a count of at least one sample, and non-finite thresholds or
+        leaf values, which would route or predict silently wrong."""
         n = self.n_nodes
         per_node = (self.threshold, self.children_left, self.children_right,
                     self.leaf_id)
         if any(a.shape != (n,) for a in per_node):
             raise ValueError("tree document: node arrays differ in length")
+        if self.leaf_counts.shape != (self.n_leaves,) or (self.leaf_counts < 1).any():
+            raise ValueError("tree document: leaf_counts must hold a count of at "
+                             "least 1 per leaf_values row")
         split = self.feature >= 0
         parent = np.tile(np.nonzero(split)[0], 2)
         children = np.concatenate([self.children_left[split], self.children_right[split]])
@@ -589,15 +581,21 @@ class Tree:
 
 def _doc_numbers(doc, name, kinds):
     """Field ``name`` of a tree document as an int64 (``kinds`` "i") or
-    float64 ("if") array, from a list (a list of rows for ``leaf_values``).
-    A field holding a string, a bool, or (for "i") a float or an integer
-    outside int64 is rejected, naming the field, rather than converted."""
+    float64 ("if") array, from a list (a list of equal-length rows for
+    ``leaf_values``).  A field of another shape, or holding a string, a
+    bool, or (for "i") a float or an integer outside int64, is rejected,
+    naming the field, rather than converted."""
     values = doc[name]
-    a = np.asarray(values)
-    rows = values if a.ndim == 2 else [values]
-    if a.dtype.kind not in kinds or any(bool in map(type, row) for row in rows):
-        raise ValueError("tree document: {} must hold {}".format(
-            name, "integers" if kinds == "i" else "numbers"))
+    ndim = 2 if name == "leaf_values" else 1
+    try:
+        a = np.asarray(values)
+    except ValueError:  # rows of different lengths
+        a = None
+    if a is None or a.ndim != ndim or a.dtype.kind not in kinds or any(
+            bool in map(type, row) for row in (values if ndim == 2 else [values])):
+        raise ValueError("tree document: {} must hold {}{}".format(
+            name, "equal-length rows of " if ndim == 2 else "",
+            "integers" if kinds == "i" else "numbers"))
     return a.astype(np.int64 if kinds == "i" else np.float64)
 
 
@@ -710,8 +708,9 @@ class _Nodes:
 def _grow_depth_first(nodes, Xt, Zt, rows, min_split, k, gen):
     """Random-threshold growth, one node at a time in depth-first order: a
     split node's children take the next two ids, and the left subtree is
-    grown before the right one.  Each node draws its k features, then its
-    cuts, from ``gen`` when it is reached."""
+    grown before the right one.  Each node draws its k features with
+    :func:`_draw_features`, as an exhaustive depth does, then its cuts,
+    from ``gen`` when it is reached."""
     p = Xt.shape[1]
     znorm2 = np.einsum("ij,ij->i", Zt, Zt)
     feature, threshold = nodes.feature, nodes.threshold
@@ -730,8 +729,7 @@ def _grow_depth_first(nodes, Xt, Zt, rows, min_split, k, gen):
             M2 = float(M @ M)
             impurity = float(znorm2[samples].sum()) / q - M2 / (q * q)
             if impurity > PURE_NODE_TOL:
-                chosen = gen.choice(p, size=k, replace=False)
-                chosen.sort()
+                chosen = _draw_features(gen, 1, p, k)[0]
                 found = _scan_random_threshold(Xt, Zs, M, M2, samples, chosen, gen)
         if found is None:
             leaf_of[node] = n_leaves
@@ -752,11 +750,10 @@ def _grow_depth_first(nodes, Xt, Zt, rows, min_split, k, gen):
 
 def _draw_features(gen, s, p, k):
     """Sorted k-of-p feature draws for s nodes, an (s, k) array: the k
-    smallest of p uniform keys per node.  The keys are drawn a few rows at a
-    time to bound memory; the stream yields the same keys as one call."""
-    rows = max(1, SCAN_BLOCK_BYTES // (8 * p))
-    keys = [gen.random((min(rows, s - a), p)) for a in range(0, s, rows)]
-    chosen = np.argpartition(np.concatenate(keys), k - 1, axis=1)[:, :k]
+    smallest of p uniform keys per node, all drawn by one ``gen.random``
+    call.  Every node drawn for holds at least two rows of the tree's X, so
+    the keys take at most half its bytes."""
+    chosen = np.argpartition(gen.random((s, p)), k - 1, axis=1)[:, :k]
     chosen.sort(axis=1)
     return chosen
 

@@ -96,6 +96,17 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match="grid axes must be non-empty"):
             ExperimentConfig(data="x", plan=SplitPlan("kfold"), grid={"m": []})
 
+    def test_grid_is_copied_not_changed(self):
+        grid = {"m": ["1"]}
+        cfg = ExperimentConfig(data="x", plan=SplitPlan("kfold"), grid=grid)
+        assert grid == {"m": ["1"]}
+        assert cfg.grid["m"] == ["1"] and cfg.grid["k"] == ["sqrt_p"]
+
+    def test_string_axis_rejected(self):
+        # A bare "12" would run the points m="1" and m="2".
+        with pytest.raises(ValueError, match="^grid axis 'm' must be a list of values"):
+            ExperimentConfig(data="x", plan=SplitPlan("kfold"), grid={"m": "12"})
+
     def test_dataset_path_required(self):
         with pytest.raises(ValueError, match="^no dataset path: pass --data"):
             experiment_from_config("m = 1\n")
@@ -216,6 +227,19 @@ class TestRunGrid:
         for orig, parsed in zip(rows, back):
             assert parsed["m"] == str(orig["m"])
             assert float(parsed["lrap"]) == orig["lrap"]
+
+    def test_csv_writes_numbers_as_python_does(self, tmp_path):
+        # Floats, numpy's included, as repr(float(x)); numpy ints as ints.
+        row = dict.fromkeys(CSV_COLUMNS, "1")
+        row.update(m_resolved=np.int64(3), s_resolved=1.0, repeat=0,
+                   lrap=np.float64(0.1) + 0.2, fit_seconds=np.float64(2.0 ** 53),
+                   project_seconds=np.float64(-0.0))
+        path = tmp_path / "rows.csv"
+        write_grid_csv([row], path)
+        cells = dict(zip(CSV_COLUMNS, path.read_text().splitlines()[2].split(",")))
+        assert [cells[c] for c in ("m_resolved", "s_resolved", "repeat", "lrap",
+                                   "fit_seconds", "project_seconds")] == [
+            "3", "1.0", "0", repr(0.1 + 0.2), "9007199254740992.0", "-0.0"]
 
 
 class TestSummarize:

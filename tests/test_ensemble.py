@@ -323,8 +323,35 @@ class TestSaveLoad:
         (lambda doc: doc["trees"][1].update(
             leaf_values=[row[:-1] for row in doc["trees"][1]["leaf_values"]]),
          "feature or label count"),
+        # Each document below is malformed rather than a wrong tree.
+        (lambda doc: doc["tree"].pop("k"), "^ensemble document: tree has no field 'k'$"),
+        (lambda doc: doc["tree"].update(depth=3),
+         "^ensemble document: tree has an unknown field 'depth'$"),
+        (lambda doc: doc.pop("projection"),
+         "^ensemble document has no field 'projection'$"),
+        (lambda doc: doc["projection"].update(seed=1),
+         "^ensemble document: projection has an unknown field 'seed'$"),
+        (lambda doc: doc["trees"][1].pop("n_features"),
+         "^tree document has no field 'n_features'$"),
+        (lambda doc: doc["trees"][0].pop("threshold"),
+         "^tree document has no field 'threshold'$"),
+        (lambda doc: doc["trees"].__setitem__(1, list(doc["trees"][1].values())),
+         "^not a serialized tree document$"),
+        (lambda doc: doc.update(tree=[2, 1]),
+         "^ensemble document: tree must be a JSON object, got list$"),
+        (lambda doc: doc.update(trees=2), "^ensemble document: trees must be a list$"),
+        (lambda doc: doc["trees"][0]["leaf_values"][-1].pop(),
+         "^tree document: leaf_values must hold equal-length rows of numbers$"),
+        (lambda doc: doc["trees"][0]["leaf_counts"].__setitem__(0, 0),
+         "^tree document: leaf_counts must hold a count of at least 1"),
+        (lambda doc: doc["trees"][1]["leaf_counts"].__setitem__(-1, -3),
+         "^tree document: leaf_counts must hold a count of at least 1"),
     ], ids=["cycle-to-root", "child-out-of-range", "two-parents", "leaf-id-repeated",
-            "nan-threshold", "inf-leaf-value", "t-mismatch", "n-features-mismatch", "label-count-mismatch"])
+            "nan-threshold", "inf-leaf-value", "t-mismatch", "n-features-mismatch", "label-count-mismatch",
+            "missing-tree-k", "unknown-tree-field", "missing-projection",
+            "unknown-projection-field", "tree-without-n-features", "tree-without-threshold",
+            "tree-as-list", "tree-config-as-list", "trees-as-number", "ragged-leaf-values",
+            "zero-leaf-count", "negative-leaf-count"])
     def test_corrupt_model_rejected(self, tmp_path, mutate, message):
         ens = fit(small_data(seed=13), config("per_tree_subspace", t=2))
         path = tmp_path / "model.json"

@@ -395,6 +395,27 @@ class TestGrowthOrder:
                 if tree.feature[node] >= 0:
                     assert tree.feature[node] in features
 
+    def test_draw_is_the_k_smallest_of_p_uniform_keys(self):
+        keys = stream(5, 0).random((7, 9))
+        drawn = tree_module._draw_features(stream(5, 0), 7, 9, 4)
+        np.testing.assert_array_equal(drawn, np.sort(np.argsort(keys, axis=1)[:, :4], axis=1))
+
+    @pytest.mark.parametrize("bootstrap", [False, True])
+    def test_both_splitters_draw_features_the_same_way(self, bootstrap):
+        # With k=1 a node's one candidate is its split feature, and both
+        # splitters draw the root's from the same point of the stream (after
+        # the bootstrap rows) by the same rule.
+        X = np.random.default_rng(22).random((120, 5))
+        roots = set()
+        for seed in range(8):
+            found = [grow_arrays(X, self.Y, self.Y, TreeConfig(
+                k=1, n_min=2, splitter=splitter, bootstrap=bootstrap), stream(seed, 0)).feature[0]
+                for splitter in tree_module.SPLITTERS]
+            assert min(found) >= 0
+            assert found[0] == found[1]
+            roots.add(found[0])
+        assert len(roots) > 1
+
     def test_scan_block_bytes_bound_chunks_and_prefix_sums(self, monkeypatch):
         # A chunk holds at most SCAN_BLOCK_BYTES / 8 entries (or one node);
         # a block of prefix sums at most SCAN_BLOCK_BYTES (or one feature of
@@ -908,11 +929,23 @@ class TestSerialization:
         (lambda doc: doc.update(n_features="3"), "n_features must be an integer"),
         (lambda doc: doc["leaf_counts"].__setitem__(0, doc["leaf_counts"][0] + 0.5),
          "leaf_counts must hold integers"),
+        (lambda doc: doc.pop("n_features"), "tree document has no field 'n_features'"),
+        (lambda doc: doc.pop("threshold"), "tree document has no field 'threshold'"),
+        (lambda doc: doc.update(threshold=0.5), "threshold must hold numbers"),
+        (lambda doc: doc["leaf_values"][0].pop(),
+         "leaf_values must hold equal-length rows of numbers"),
+        (lambda doc: doc.update(leaf_values=sum(doc["leaf_values"], [])),
+         "leaf_values must hold equal-length rows of numbers"),
+        (lambda doc: doc["leaf_counts"].__setitem__(0, 0), "leaf_counts must hold a count"),
+        (lambda doc: doc["leaf_counts"].__setitem__(-1, -3), "leaf_counts must hold a count"),
+        (lambda doc: doc["leaf_counts"].pop(), "leaf_counts must hold a count"),
     ], ids=["format", "node-array-length", "feature-out-of-range", "nan-threshold",
             "inf-threshold", "inf-leaf-value", "nan-leaf-value", "fractional-feature",
             "fractional-child", "huge-child", "bool-feature", "string-leaf-id",
             "string-threshold", "fractional-n-features", "string-n-features",
-            "fractional-leaf-count"])
+            "fractional-leaf-count", "missing-n-features", "missing-threshold",
+            "scalar-threshold", "ragged-leaf-values", "flat-leaf-values", "zero-leaf-count",
+            "negative-leaf-count", "short-leaf-counts"])
     def test_corrupt_document_rejected(self, mutate, message):
         gen = np.random.default_rng(16)
         X = gen.random((30, 3))

@@ -38,6 +38,10 @@ continuous ones, each given dense and as CSR, with no projection and with a
 gaussian map at m = d, bootstrap on and off: every tree holds no more
 distinct rows than outputs, so the exhaustive scan scores its splits from
 the Gram matrix of its split targets.
+The ``tall`` lines fit one tree on 1100 rows and 1000 labels at m = 1000,
+with no projection and with a gaussian map: with more distinct rows than
+outputs the scan takes its prefix sums slab by slab, and a node of more than
+65 rows one feature at a time.
 The decomposition lines digest ``estimate_ensemble`` estimates for a shared
 and a per-tree subspace config, as the Monte Carlo harness runs them, and for
 single trees (t=1) with no projection and with an identity map, under both
@@ -215,6 +219,25 @@ def run_gram(X, Y):
         print("gram", outputs, policy, kind, "exhaustive",
               "bootstrap" if bootstrap else "no-bootstrap", storage,
               digest(ensemble, query))
+
+
+def run_tall():
+    """Exhaustive single-tree fits with more distinct rows than outputs at
+    m = d = 1000, with no projection and with a gaussian map: their nodes
+    take prefix sums slab by slab, a feature at a time once a node's
+    (k, q, m) block outgrows ``tree.SCAN_BLOCK_BYTES``."""
+    X, Y = sparse_features(1200, 12, 1000, seed=27)
+    train_X, train_Y = X[:1100], Y[:1100]
+    for policy, kind in WIDE_POLICIES:
+        cfg = EnsembleConfig(
+            t=1,
+            tree=TreeConfig(k=2, n_min=2),
+            projection=None if kind is None else ProjectionSpec(kind, 1000),
+            policy=policy,
+            master_seed=17,
+        )
+        ensemble = fit(DataSet(train_X, train_Y), cfg)
+        print("tall", policy, kind, "exhaustive no-bootstrap", digest(ensemble, X[1100:]))
 
 
 def run_yeast():
@@ -396,6 +419,7 @@ def main():
     run_rademacher(X, real_outputs(X, 40, seed=9))
     X, Y = sparse_features(180, 12, 120, seed=21)
     run_gram(X, Y.toarray())
+    run_tall()
     run_yeast()
     run_predict_layouts()
     run_decomposition()
