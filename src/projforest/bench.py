@@ -142,8 +142,8 @@ class ExperimentConfig:
     (``fixed_holdout`` plus ``fit_repeats = 10``) and fresh-split repetitions
     (``shuffled_repeats``) are both expressible.  ``seed`` must be an
     integer >= 0 and ``fit_repeats`` one >= 1.  ``grid`` is copied, not
-    changed, and an axis given as one string rather than a list of values is
-    rejected.
+    changed, and an axis given as anything but a list or tuple of values (one
+    string, say) is rejected.
     """
 
     data: str
@@ -157,9 +157,9 @@ class ExperimentConfig:
         for axis, values in self.grid.items():
             if axis not in GRID_AXES:
                 raise ValueError("unknown grid axis: {!r}".format(axis))
-            if isinstance(values, str):
-                raise ValueError("grid axis {!r} must be a list of values, got the "
-                                 "string {!r}".format(axis, values))
+            if not isinstance(values, (list, tuple)):
+                raise ValueError("grid axis {!r} must be a list of values, got "
+                                 "{!r}".format(axis, values))
         for axis, default in _AXIS_DEFAULTS.items():
             self.grid.setdefault(axis, [default])
         if any(len(v) == 0 for v in self.grid.values()):

@@ -107,6 +107,11 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match="^grid axis 'm' must be a list of values"):
             ExperimentConfig(data="x", plan=SplitPlan("kfold"), grid={"m": "12"})
 
+    @pytest.mark.parametrize("values", [12, None, 1.5, {1: 2}])
+    def test_axis_that_is_not_a_list_rejected(self, values):
+        with pytest.raises(ValueError, match="^grid axis 'm' must be a list of values"):
+            ExperimentConfig(data="x", plan=SplitPlan("kfold"), grid={"m": values})
+
     def test_dataset_path_required(self):
         with pytest.raises(ValueError, match="^no dataset path: pass --data"):
             experiment_from_config("m = 1\n")

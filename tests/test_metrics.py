@@ -138,6 +138,36 @@ class TestProperties:
         scores = np.array([[0.8, 0.9, 0.7]])
         assert abs(lrap(scores, np.array([[1.0, 0.0, 1.0]])) - 7.0 / 12.0) <= 1e-12
 
+    def test_sparse_scores_rejected(self):
+        scores = sp.csr_matrix(np.array([[0.8, 0.9, 0.7]]))
+        with pytest.raises(ValueError, match="^scores must be a dense matrix"):
+            lrap(scores, np.array([[1.0, 0.0, 1.0]]))
+
+    def test_object_labels_rejected(self):
+        Y = np.array([[1.0, None, 0.0]], dtype=object)
+        with pytest.raises(ValueError, match="^labels must be numeric, got dtype object"):
+            lrap(np.array([[0.8, 0.9, 0.7]]), Y)
+
+    def test_label_column_permutation_invariance(self):
+        # Permuting the labels reorders the labels within every tie group.
+        gen = np.random.default_rng(5)
+        scores = gen.choice([0.0, 0.25, 0.5], size=(30, 40))
+        Y = (gen.random((30, 40)) < 0.3).astype(float)
+        perm = gen.permutation(40)
+        for given in (Y, labels(Y)):
+            a = lrap(scores, given)
+            b = lrap(scores[:, perm], given[:, perm])
+            assert abs(a - b) <= 1e-12
+
+    def test_non_canonical_labels_left_unchanged(self):
+        gen = np.random.default_rng(6)
+        Y = messy_csr((gen.random((20, 15)) < 0.3).astype(float), gen)
+        assert not Y.has_canonical_format
+        before = [a.copy() for a in (Y.data, Y.indices, Y.indptr)]
+        lrap(gen.random((20, 15)), Y)
+        for old, new in zip(before, (Y.data, Y.indices, Y.indptr)):
+            assert old.dtype == new.dtype and np.array_equal(old, new)
+
 
 def messy_csr(Y, gen):
     """CSR holding the relevance of dense ``Y`` with every relevant entry

@@ -54,8 +54,13 @@ comments, blank lines, explicit zeros, unlabeled and label-only rows).  A
 gzipped file is digested decompressed, since its header holds the time of
 writing.  The ``cli`` lines run the command line on a written file: the trees
 ``projforest fit`` saves for a holdout config, the non-timing columns of a
-2-point ``projforest grid`` and a small ``projforest decompose`` report.  The
-script takes a few seconds.
+2-point ``projforest grid`` and a small ``projforest decompose`` report.
+The ``lrap`` lines print ``float.hex`` of ``lrap`` on a d = 1000 block with
+about three distinct scores per row, as a forest's predictions on wide labels
+have (labels as CSR, and again with ``LRAP_CHUNK`` set to d and to 2d), on
+the same block against non-canonical CSR labels (split duplicates, stored
+zeros, pairs that cancel, unsorted labels) and against dense labels, and on
+continuous scores with no ties.  The script takes a few seconds.
 """
 
 import contextlib
@@ -81,7 +86,9 @@ from projforest import (
     estimate_ensemble,
     fit,
     load_svmlight_multilabel,
+    lrap,
     make_synthetic_multilabel,
+    metrics,
     two_feature_problem,
 )
 from projforest.bench import CSV_COLUMNS, TIMING_COLUMNS
@@ -406,6 +413,47 @@ def run_cli_lines():
             print("cli decompose", hashlib.sha256(fh.read()).hexdigest())
 
 
+def messy_labels(Y, gen):
+    """CSR relevance of a dense binary ``Y`` stored non-canonically: every
+    relevant entry as two halves, stored zeros and pairs of entries that
+    cancel among the others, each row's labels in random order."""
+    i, j = np.nonzero(Y)
+    zi, zj = np.nonzero(Y == 0)
+    kind = gen.integers(0, 3, len(zi))
+    zero, pair = kind == 1, kind == 2
+    rows = np.concatenate([i, i, zi[zero], zi[pair], zi[pair]])
+    cols = np.concatenate([j, j, zj[zero], zj[pair], zj[pair]])
+    half = 0.5 * Y[i, j]
+    data = np.concatenate([half, half, np.zeros(zero.sum()), np.ones(pair.sum()),
+                           -np.ones(pair.sum())])
+    order = np.lexsort((gen.random(len(rows)), rows))
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=Y.shape[0]))])
+    return sp.csr_matrix((data[order], cols[order], indptr), shape=Y.shape)
+
+
+def run_lrap():
+    """``float.hex`` of ``lrap`` on tied and untied scores, against CSR,
+    non-canonical CSR and dense labels, and at two small chunk sizes."""
+    gen = np.random.default_rng(33)
+    n, d = 600, 1000
+    levels = gen.random((n, 3))
+    tied = levels[np.arange(n)[:, None], gen.integers(0, 3, size=(n, d))]
+    Y = (gen.random((n, d)) < 0.012).astype(float)
+    Y[gen.random(n) < 0.05] = 0.0  # rows with no relevant label
+    print("lrap ties-d1000 csr", lrap(tied, sp.csr_matrix(Y)).hex())
+    print("lrap ties-d1000 messy-csr", lrap(tied, messy_labels(Y, gen)).hex())
+    print("lrap ties-d1000 dense", lrap(tied, Y).hex())
+    print("lrap continuous-d1000 csr",
+          lrap(gen.standard_normal((n, d)), sp.csr_matrix(Y)).hex())
+    default = metrics.LRAP_CHUNK
+    try:
+        for chunk in (d, 2 * d):
+            metrics.LRAP_CHUNK = chunk
+            print("lrap ties-d1000 csr chunk", chunk, lrap(tied, sp.csr_matrix(Y)).hex())
+    finally:
+        metrics.LRAP_CHUNK = default
+
+
 def main():
     X, Y = sparse_features(260, 12, 10, seed=3)
     run_grid("narrow", X, Y, 3, 4, POLICIES, ("exhaustive", "random_threshold"))
@@ -425,6 +473,7 @@ def main():
     run_decomposition()
     run_io()
     run_cli_lines()
+    run_lrap()
 
 
 if __name__ == "__main__":
