@@ -4,14 +4,15 @@ Subcommands::
 
     projforest fit       --data D.svm --config run.cfg [--seed N] [--out model.json]
     projforest grid      --data D.svm --config grid.cfg --out rows.csv
-    projforest summarize --data rows.csv [--baseline policy=no_projection] --out table.csv
-    projforest decompose [--config counts.cfg] [--seed N] --out report.csv
+    projforest summarize --data rows.csv [--baseline policy=no_projection] [--out table.csv]
+    projforest decompose [--config counts.cfg] [--seed N] [--out report.csv]
 
 ``fit`` and ``grid`` read the flat key/value config grammar documented in the
 README; ``summarize`` consumes the CSV written by ``grid``.  Every experiment
 step (config to ensemble, split, fit, score) is :mod:`projforest.bench`'s;
 this module parses arguments, prints and saves.  Exit status is 0 on success
-and 1 with a diagnostic on stderr otherwise.
+and 1 with a diagnostic on stderr otherwise.  Each command takes only the
+flags listed for it; argparse rejects any other with exit status 2.
 """
 
 import argparse
@@ -150,22 +151,24 @@ def build_parser():
         description="Benchmark harness for label-space-projected tree ensembles.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, func in (
-        ("fit", _cmd_fit),
-        ("grid", _cmd_grid),
-        ("summarize", _cmd_summarize),
-        ("decompose", _cmd_decompose),
+    flags = {
+        "data": dict(help="dataset path (or input CSV for summarize)"),
+        "config": dict(help="flat key/value config file"),
+        "seed": dict(type=int, default=None),
+        "out": dict(help="output path"),
+        "baseline": dict(
+            help="axis=value[,axis=value...] naming the baseline grid point"
+        ),
+    }
+    for name, func, names in (
+        ("fit", _cmd_fit, ("data", "config", "seed", "out")),
+        ("grid", _cmd_grid, ("data", "config", "seed", "out")),
+        ("summarize", _cmd_summarize, ("data", "baseline", "out")),
+        ("decompose", _cmd_decompose, ("config", "seed", "out")),
     ):
         cmd = sub.add_parser(name)
-        cmd.add_argument("--data", help="dataset path (or input CSV for summarize)")
-        cmd.add_argument("--config", help="flat key/value config file")
-        cmd.add_argument("--seed", type=int, default=None)
-        cmd.add_argument("--out", help="output path")
-        if name == "summarize":
-            cmd.add_argument(
-                "--baseline",
-                help="axis=value[,axis=value...] naming the baseline grid point",
-            )
+        for flag in names:
+            cmd.add_argument("--" + flag, **flags[flag])
         cmd.set_defaults(func=func)
     return parser
 

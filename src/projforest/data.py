@@ -13,6 +13,19 @@ def check_integer(name, value, minimum):
         raise ValueError("{} must be >= {}, got {}".format(name, minimum, value))
 
 
+def as_indices(name, idx):
+    """``idx`` as a one-dimensional int64 array, rejecting entries that are
+    not integers (floats are not truncated, a boolean mask is not read as
+    0/1 indices) with a ``ValueError`` naming ``name``.  An empty list is
+    an empty index."""
+    arr = np.asarray(idx)
+    if arr.ndim != 1:
+        raise ValueError("{} must be one-dimensional".format(name))
+    if arr.size and arr.dtype.kind not in "iu":
+        raise ValueError("{} must be integers, got dtype {}".format(name, arr.dtype))
+    return np.asarray(arr, dtype=np.int64)
+
+
 def check_document(doc, what, required=(), allowed=None):
     """Reject a parsed JSON ``doc`` that is not an object, lacks a key of
     ``required`` or, given ``allowed``, holds a key outside it, with a
@@ -131,9 +144,7 @@ class DataSet:
 
     def row_slice(self, idx):
         """Zero-copy view selecting rows ``idx`` (duplicates allowed)."""
-        idx = np.asarray(idx, dtype=np.int64)
-        if idx.ndim != 1:
-            raise ValueError("row indices must be one-dimensional")
+        idx = as_indices("row indices", idx)
         n = self.n_samples
         if idx.size and (idx.min() < 0 or idx.max() >= n):
             raise IndexError(

@@ -9,6 +9,10 @@ the leakage of the inner ones (variance of a mean of R draws contributes
 1/R of the inner variance), so every term is unbiased and may fluctuate
 slightly below zero.  Standard errors come from a bootstrap over the outer
 learning-sample axis, which dominates the estimator's uncertainty.
+
+One engine, ``_collect_predictions``, draws the learning-sample, projection
+and tree seeds from ``stream(seed)`` (one call per kind), fits and predicts;
+the variance curve runs it once per ensemble size with n_phi = n_eps = 1.
 """
 
 import csv
@@ -118,9 +122,8 @@ class DecompositionReport:
 
 
 def _collect_predictions(problem, cfg, n_ls, n_phi, n_eps, seed):
-    """Prediction tensor P[ls, phi, eps, probe, output] plus draw seeds."""
-    for name, value in (("n_ls", n_ls), ("n_phi", n_phi), ("n_eps", n_eps)):
-        check_integer(name, value, 2)
+    """Prediction tensor P[ls, phi, eps, probe, output] and ``stream(seed)``
+    after drawing its seeds; the bootstrap draws from it next."""
     master = stream(seed)
     ls_seeds = master.integers(_SEED_BOUND, size=n_ls)
     phi_seeds = master.integers(_SEED_BOUND, size=(n_ls, n_phi))
@@ -212,6 +215,8 @@ def estimate_ensemble(problem, cfg, n_ls=30, n_phi=20, n_eps=20, seed=0):
     measures the full projection variance while the per-tree policy shows it
     suppressed by 1/t.  Each repetition count must be an integer >= 2.
     """
+    for name, value in (("n_ls", n_ls), ("n_phi", n_phi), ("n_eps", n_eps)):
+        check_integer(name, value, 2)
     P, master = _collect_predictions(problem, cfg, n_ls, n_phi, n_eps, seed)
     return _report_from_predictions(problem, P, master)
 
@@ -230,10 +235,12 @@ class VarianceCurve:
 def ensemble_variance_curve(problem, make_config, t_values, reps=400, seed=0):
     """Flat Monte Carlo estimate of total prediction variance versus t.
 
-    Every repetition redraws the learning sample and all fit randomness, so
-    the measured variance includes every source.  Fits variance ~ a + b/t and
-    reports the fit quality, so it needs ``reps >= 2`` and at least two
-    distinct t values, each an integer of at least 1.
+    Each t value runs ``_collect_predictions`` at its own seed, drawn with
+    the others in one call from ``stream(seed)``: ``reps`` learning samples,
+    each with one projection and one tree draw, so the variance includes
+    every source.  Fits variance ~ a + b/t and reports the fit quality, so
+    it needs ``reps >= 2`` and at least two distinct t values, each an
+    integer of at least 1.
     """
     check_integer("reps", reps, 2)
     t_values = list(t_values)
@@ -242,23 +249,14 @@ def ensemble_variance_curve(problem, make_config, t_values, reps=400, seed=0):
     t_values = np.asarray(t_values, dtype=np.int64)
     if np.unique(t_values).size < 2:
         raise ValueError("t_values needs at least two distinct ensemble sizes")
-    master = stream(seed)
+    seeds = stream(seed).integers(_SEED_BOUND, size=t_values.size)
     variances = np.empty(t_values.size)
     q = problem.probes.shape[0]
     for ti, t in enumerate(t_values):
-        cfg = make_config(int(t))
-        preds = np.empty((reps, q, problem.n_outputs))
-        for r in range(reps):
-            ls_gen = stream(int(master.integers(_SEED_BOUND)))
-            X, Y = problem.draw_learning_sample(ls_gen)
-            phi_seed = int(master.integers(_SEED_BOUND))
-            eps_seed = int(master.integers(_SEED_BOUND))
-            ens, _ = _fit_arrays(X, Y, cfg, phi_seed, eps_seed)
-            preds[r] = ens.predict(problem.probes)
+        P, _ = _collect_predictions(problem, make_config(int(t)), reps, 1, 1, int(seeds[ti]))
+        preds = P[:, 0, 0]
         dev = preds - preds.mean(axis=0)
-        variances[ti] = float(
-            np.einsum("rqd,rqd->", dev, dev) / ((reps - 1) * q)
-        )
+        variances[ti] = float(np.einsum("rqd,rqd->", dev, dev) / ((reps - 1) * q))
     design = np.column_stack([np.ones(t_values.size), 1.0 / t_values])
     coef, _, _, _ = np.linalg.lstsq(design, variances, rcond=None)
     fitted = design @ coef

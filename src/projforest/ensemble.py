@@ -47,6 +47,9 @@ class EnsembleConfig:
             raise ValueError("unknown policy: {!r}".format(self.policy))
         if self.policy != "no_projection" and self.projection is None:
             raise ValueError("policy {!r} needs a projection spec".format(self.policy))
+        if self.policy == "no_projection" and self.projection is not None:
+            raise ValueError("policy 'no_projection' takes no projection spec, got {!r}".format(
+                self.projection))
 
 
 @dataclass

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .data import check_document, check_finite, check_integer, to_dense
+from .data import as_indices, check_document, check_finite, check_integer, to_dense
 
 SPLITTERS = ("exhaustive", "random_threshold")
 
@@ -362,14 +362,19 @@ def _scan_random_threshold(X, Zs, M, M2, samples, features, gen):
     return SplitRecord(f, thr, best_gain), samples[mask], samples[~mask]
 
 
-def _check_node(samples, features):
-    """Validated (samples, sorted features) of a one-shot node search."""
-    samples = np.asarray(samples, dtype=np.int64)
-    features = np.sort(np.asarray(features, dtype=np.int64))
+def _check_node(X, samples, features):
+    """Validated (samples, sorted features) of a one-shot node search over
+    the rows and columns of X."""
+    samples = as_indices("samples", samples)
+    features = np.sort(as_indices("features", features))
     if samples.size < 2:
         raise ValueError("need at least two samples to split")
     if features.size == 0:
         raise ValueError("feature subset must be non-empty")
+    for name, idx, size in (("samples", samples, X.shape[0]), ("features", features, X.shape[1])):
+        if idx.min() < 0 or idx.max() >= size:
+            raise ValueError("{} must lie in [0, {}), got values from {} to {}".format(
+                name, size, idx.min(), idx.max()))
     return samples, features
 
 
@@ -402,7 +407,7 @@ def best_split_exhaustive(X, Z, samples, features):
     """Public one-shot exhaustive split search over a node: the level scan
     that grows trees, run on the node's own rows (so the Gram rule applies
     to the node), each entry weighing one, a repeated sample once per copy."""
-    samples, features = _check_node(samples, features)
+    samples, features = _check_node(X, samples, features)
     Z = np.asarray(Z, dtype=np.float64)[samples]
     rows, weight, sizes = np.arange(samples.size), np.ones(samples.size), np.array([samples.size])
     _, W, M, M2 = _node_sums(Z, weight, rows, sizes)
@@ -417,7 +422,7 @@ def best_split_exhaustive(X, Z, samples, features):
 def best_split_random_threshold(X, Z, samples, features, gen):
     """Public one-shot random-threshold split search over a node, drawing
     its cuts from the numpy Generator ``gen``."""
-    samples, features = _check_node(samples, features)
+    samples, features = _check_node(X, samples, features)
     Zs = np.asarray(Z, dtype=np.float64)[samples]
     M = Zs.sum(axis=0)
     found = _scan_random_threshold(
@@ -505,7 +510,9 @@ class Tree:
         leaf (feature < 0) that index is clipped into range and the value
         is ignored.  Routing stops once no row is on a split node.  For the
         finite values checked here, "x > threshold goes right" is exactly
-        "x <= threshold goes left".
+        "x <= threshold goes left".  A tree is shallower than its node
+        count, so a row still on a split node after that many steps means
+        the arrays hold a cycle, not a tree, and raise a ``ValueError``.
         """
         if not checked:
             X = self.check_rows(X)
@@ -516,12 +523,17 @@ class Tree:
         Xflat = X.ravel()
         row_start = np.arange(0, n * p, p)
         node = np.zeros(n, dtype=np.int64)
-        while n:
+        for _ in range(split.size):
             f = self.feature.take(node)
-            if f.max() < 0:
+            if not n or f.max() < 0:
                 break
             x = Xflat.take(row_start + f, mode="clip")
             node = step.take(2 * node + (x > self.threshold.take(node)))
+        else:
+            raise ValueError(
+                "the tree arrays hold a cycle: rows are still on split nodes "
+                "after {} steps".format(split.size)
+            )
         return self.leaf_id.take(node)
 
     def predict(self, X, *, checked=False):

@@ -77,8 +77,8 @@ def test_fits_grow_every_tree_through_the_traced_name(monkeypatch):
     calls = count_calls(monkeypatch, "tree.grow")
     ds = make_synthetic_multilabel(40, 3, 5, seed=1)
     for policy in ("shared_subspace", "per_tree_subspace", "no_projection"):
-        cfg = EnsembleConfig(t=3, tree=TreeConfig(k=2), policy=policy,
-                             projection=ProjectionSpec("gaussian", 2))
+        spec = None if policy == "no_projection" else ProjectionSpec("gaussian", 2)
+        cfg = EnsembleConfig(t=3, tree=TreeConfig(k=2), policy=policy, projection=spec)
         del calls[:]
         fit(ds, cfg)
         assert len(calls) == 3, policy

@@ -201,6 +201,25 @@ class TestDecomposeCommand:
         assert totals["shared_subspace"] != totals["per_tree_subspace"]
 
 
+class TestFlagsPerCommand:
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("summarize", "--config"), ("summarize", "--seed"), ("decompose", "--data")],
+    )
+    def test_flag_the_command_does_not_read_rejected(self, tmp_path, capsys,
+                                                     command, flag):
+        rows_path = tmp_path / "rows.csv"
+        rows_path.write_text("m,lrap\n")
+        cfg = tmp_path / "dec.cfg"
+        cfg.write_text("n_ls = 2\nn_phi = 2\nn_eps = 2\nt = 1\n")
+        given = {"summarize": ["--data", str(rows_path)],
+                 "decompose": ["--config", str(cfg)]}[command]
+        with pytest.raises(SystemExit) as exc:
+            main([command, *given, flag, "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: {} 1".format(flag) in capsys.readouterr().err
+
+
 class TestModuleEntryPoint:
     def test_python_dash_m(self, tmp_path):
         data = write_dataset(tmp_path, n=40)

@@ -96,6 +96,17 @@ class TestDataSet:
         with pytest.raises(ValueError, match="one-dimensional"):
             small_dataset().row_slice([[0, 1]])
 
+    @pytest.mark.parametrize("idx", [[0.5, 1.7], [True, False, True]],
+                             ids=["floats", "boolean-mask"])
+    def test_row_indices_must_be_integers(self, idx):
+        with pytest.raises(ValueError, match="row indices must be integers"):
+            small_dataset().row_slice(idx)
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.uint8, np.uint64])
+    def test_integer_index_dtypes_accepted(self, dtype):
+        view = small_dataset().row_slice(np.array([2, 0], dtype=dtype))
+        np.testing.assert_array_equal(view.rows(), [2, 0])
+
     def test_repr(self):
         assert repr(small_dataset().row_slice([0, 0])) == "DataSet(n=2, p=2, d=2)"
 

@@ -7,6 +7,7 @@ from projforest import (
     TreeConfig,
     ensemble_variance_curve,
     estimate_ensemble,
+    stream,
     two_feature_problem,
 )
 from projforest import decomposition
@@ -214,6 +215,28 @@ class TestVarianceCurve:
         assert curve.r_squared >= 0.9
         assert curve.slope > 0
         assert (np.diff(curve.variances) < 0).all()  # variance shrinks with t
+
+    def test_a_curve_point_is_the_engines_flat_variance_at_its_seed(self):
+        problem = two_feature_problem()
+        make_config = lambda t: gaussian_cfg("per_tree_subspace", t=t)
+        t_values = [1, 3]
+        curve = ensemble_variance_curve(problem, make_config, t_values, reps=6, seed=4)
+        seeds = stream(4).integers(decomposition._SEED_BOUND, size=len(t_values))
+        for ti, t in enumerate(t_values):
+            P, _ = decomposition._collect_predictions(
+                problem, make_config(t), 6, 1, 1, int(seeds[ti]))
+            flat = P[:, 0, 0].var(axis=0, ddof=1).sum(axis=-1).mean()
+            assert curve.variances[ti] == pytest.approx(flat, rel=1e-12)
+
+    def test_same_seed_same_curve(self):
+        problem = two_feature_problem()
+        make_config = lambda t: gaussian_cfg("per_tree_subspace", t=t)
+        first, again = (ensemble_variance_curve(problem, make_config, [1, 2], reps=4, seed=8)
+                        for _ in range(2))
+        np.testing.assert_array_equal(first.t_values, again.t_values)
+        np.testing.assert_array_equal(first.variances, again.variances)
+        assert (first.intercept, first.slope, first.r_squared) == (
+            again.intercept, again.slope, again.r_squared)
 
     @pytest.mark.parametrize("reps", [1, 0, 2.5])
     def test_reps_must_be_at_least_two(self, reps):

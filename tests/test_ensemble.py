@@ -425,6 +425,11 @@ class TestValidation:
             EnsembleConfig(t=2, tree=TreeConfig(k=1), projection=None,
                            policy="shared_subspace")
 
+    def test_no_projection_takes_no_projection_spec(self):
+        with pytest.raises(ValueError, match="^policy 'no_projection' takes no projection spec"):
+            EnsembleConfig(t=2, tree=TreeConfig(k=1), projection=ProjectionSpec("gaussian", 3),
+                           policy="no_projection")
+
     @pytest.mark.parametrize("value", ["k=3", None, {"k": 3}, 3,
                                        ProjectionSpec("gaussian", 2)])
     def test_tree_must_be_a_tree_config(self, value):

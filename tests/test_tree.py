@@ -1,5 +1,8 @@
 import itertools
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -558,6 +561,12 @@ class TestTreeConfig:
     ([2], [0], "at least two samples"),
     ([], [0], "at least two samples"),
     ([0, 3], [], "feature subset must be non-empty"),
+    ([0, 1, 2, 3], [-1], "features must lie in"),
+    ([0, 1, 2, 3], [1], "features must lie in"),
+    ([0, 1, 2, 3], [0.0], "features must be integers"),
+    ([0, 1.7, 2, 3], [0], "samples must be integers"),
+    ([-1, 0, 1], [0], "samples must lie in"),
+    ([0, 4], [0], "samples must lie in"),
 ])
 def test_one_shot_search_rejects_bad_nodes(search, samples, features, message):
     with pytest.raises(ValueError, match=message):
@@ -824,6 +833,31 @@ class TestPredict:
         np.testing.assert_array_equal(
             tree.predict(sp.csr_matrix(X)), tree.predict(X)
         )
+
+
+    @pytest.mark.parametrize("feature, left, right", [
+        ([0], [0], [0]),
+        ([0, 0], [1, 0], [1, 0]),
+    ], ids=["self-loop", "two-node-cycle"])
+    def test_cyclic_arrays_raise_instead_of_looping(self, feature, left, right):
+        # Run in a child process, so that a routing loop that never ends
+        # fails on the timeout instead of hanging the suite.
+        n = len(feature)
+        code = (
+            "import numpy as np\n"
+            "from projforest.tree import Tree\n"
+            "tree = Tree(np.array({}), np.zeros({n}), np.array({}), np.array({}),\n"
+            "            np.full({n}, -1), np.zeros((1, 1)), np.ones(1, dtype=np.int64), 1)\n"
+            "try:\n"
+            "    tree.apply(np.zeros((3, 1)))\n"
+            "except ValueError as exc:\n"
+            "    print(exc)\n"
+        ).format(feature, left, right, n=n)
+        src = os.path.dirname(os.path.dirname(tree_module.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, timeout=30, env=env)
+        assert proc.stdout.startswith("the tree arrays hold a cycle"), proc.stderr
 
 
 class TestVarianceTransferInTrees:
