@@ -240,14 +240,16 @@ def first_split(ds, plan):
     return make_splits(ds, plan)[0]
 
 
-def fit_point(point, train, test, master_seed):
+def fit_point(point, train, test, seed, repeat):
     """Fit one symbolic grid point on the ``train`` view and time the fit;
-    given a ``test`` view, also score it.  Returns the ensemble and the
-    point's row: its axis values, resolved sizes and timing columns, plus
-    ``lrap`` and ``retained`` (the test rows scored) with a test view.
-    Errors propagate to the caller."""
+    given a ``test`` view, also score it.  The fit's master seed is
+    ``seed * 1_000_003 + repeat``, a function of the experiment seed and
+    the repeat id alone.  Returns the ensemble and the point's row: its axis
+    values, resolved sizes and timing columns, plus ``lrap`` and
+    ``retained`` (the test rows scored) with a test view.  Errors propagate
+    to the caller."""
     ens_cfg, m, k, s = make_ensemble_config(
-        point, train.n_labels, train.n_features, master_seed
+        point, train.n_labels, train.n_features, seed * 1_000_003 + repeat
     )
     tic = time.perf_counter()
     ensemble, timing = fit_timed(train, ens_cfg)
@@ -264,8 +266,9 @@ def fit_point(point, train, test, master_seed):
 def run_grid(cfg, ds=None):
     """Fit and score every (grid point, split repeat); returns CSV row dicts.
 
-    A failing grid point is logged and skipped; the run continues.  Everything
-    except the two wall-clock columns is deterministic under the seed.
+    A grid point that fails on any repeat is logged and skipped: none of its
+    rows are kept, and the run continues.  Everything except the two
+    wall-clock columns is deterministic under the seed.
     """
     if ds is None:
         ds = load_logged(cfg.data)
@@ -274,17 +277,18 @@ def run_grid(cfg, ds=None):
     axes = [cfg.grid[axis] for axis in GRID_AXES]
     for values in itertools.product(*axes):
         point = dict(zip(GRID_AXES, values))
+        point_rows = []
         try:
             for split_id, (train, test) in enumerate(splits):
                 for fit_id in range(cfg.fit_repeats):
                     repeat = split_id * cfg.fit_repeats + fit_id
-                    _, row = fit_point(
-                        point, train, test, cfg.seed * 1_000_003 + repeat
-                    )
+                    _, row = fit_point(point, train, test, cfg.seed, repeat)
                     row["repeat"] = repeat
-                    rows.append(row)
+                    point_rows.append(row)
         except Exception as exc:  # noqa: BLE001 - abort point, keep the run
             logger.warning("grid point %r aborted: %s", point, exc)
+        else:
+            rows += point_rows
     return rows
 
 

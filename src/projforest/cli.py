@@ -51,7 +51,7 @@ def _cmd_fit(args):
                          + ", ".join(listed))
     point = {axis: values[0] for axis, values in cfg.grid.items()}
     train, test = first_split(load_logged(cfg.data), cfg.plan)
-    ensemble, row = fit_point(point, train, test, cfg.seed * 1_000_003)
+    ensemble, row = fit_point(point, train, test, cfg.seed, 0)
     print("fitted t={t} policy={policy} m={m_resolved} k={k_resolved} in "
           "{fit_seconds:.3f}s (projection {project_seconds:.3f}s)".format(**row))
     if test is not None:

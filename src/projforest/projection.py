@@ -82,8 +82,7 @@ def generate(spec, d, gen):
     :func:`pca_projection` instead.
     """
     m = spec.m
-    if d < 1:
-        raise ValueError("output dimension d must be >= 1")
+    check_integer("output dimension d", d, 1)
 
     if spec.kind == "gaussian":
         return gen.standard_normal((m, d)) / math.sqrt(m)
@@ -142,8 +141,7 @@ def jl_min_dimension(epsilon, n):
     """
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
-    if n < 2:
-        raise ValueError("need at least two points")
+    check_integer("n", n, 2)
     return max(1, math.ceil(8.0 * math.log(n) / (epsilon * epsilon)))
 
 
@@ -158,6 +156,7 @@ def pca_projection(Y, m):
     is rejected.
     """
     n, d = Y.shape
+    check_integer("m", m, 1)
     check_finite(Y, "Y contains non-finite values")
     if d > 5000:
         raise ValueError("pca_projection is intended for d <= 5000")
@@ -196,7 +195,10 @@ def distortion_check(phi, Y, epsilon):
     Every pair of distinct rows is tested; pairs at zero original distance are
     skipped (both bounds are trivially tight there).  Returns the number of
     violating pairs, the number of pairs checked, and the largest |ratio - 1|.
+    ``epsilon`` must be a number >= 0.
     """
+    if not epsilon >= 0:
+        raise ValueError("epsilon must be >= 0, got {!r}".format(epsilon))
     n = Y.shape[0]
     if n < 2:
         raise ValueError("need at least two rows")

@@ -15,13 +15,15 @@ no more scan rows than outputs (n_t <= m, so q <= m at every node) reads
 the same sums from the Gram matrix G = Z Z^T of its rows instead, at
 O(k * q^2) per node plus one O(n_t^2 * m) product per tree.  A node's split
 does not depend on the other nodes scanned with it.  Each depth draws the
-features of all its splittable nodes in one call, in node order, and its
-nodes are numbered before any node of the next depth.  Random-threshold
-trees grow depth first, each node drawing its features (the same way, the
-k smallest of p uniform keys) and cuts when it is reached: their trees are
-small (a depth of a Monte Carlo harness tree holds 1-4 nodes), so a level
-scan would batch little there.  Equal gains go to the lowest feature index,
-then the lowest threshold.
+features of all its splittable nodes in one call, in node order.
+Random-threshold trees grow breadth first too, one node at a time, each
+node drawing its features (the same way, the k smallest of p uniform keys)
+and cuts when it is reached: their trees are small (a depth of a Monte
+Carlo harness tree holds 1-4 nodes), so a level scan would batch little
+there.  Both splitters number nodes depth by depth, left to right, so the
+j-th split node's children are nodes 2j+1 and 2j+2 and leaves are numbered
+in node order.  Equal gains go to the lowest feature index, then the lowest
+threshold.
 
 A bootstrap sample of n rows holds only about 63% of them (1 - 1/e) once.
 Exhaustive trees grow on each distinct row once, weighted by its bootstrap
@@ -37,6 +39,7 @@ that each call builds from the children arrays (a leaf steps to itself),
 until no row is on a split node.
 """
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -512,12 +515,17 @@ class Tree:
         finite values checked here, "x > threshold goes right" is exactly
         "x <= threshold goes left".  A tree is shallower than its node
         count, so a row still on a split node after that many steps means
-        the arrays hold a cycle, not a tree, and raise a ``ValueError``.
+        the arrays hold a cycle, not a tree, and raise a ``ValueError``, as
+        does a leaf whose ``leaf_id`` names no ``leaf_values`` row.
         """
         if not checked:
             X = self.check_rows(X)
         n, p = X.shape
         split = self.feature >= 0
+        leaf_ids = self.leaf_id[~split]
+        if leaf_ids.size and not 0 <= leaf_ids.min() <= leaf_ids.max() < self.n_leaves:
+            raise ValueError("leaf_id must lie in [0, {}) on every leaf, got values from "
+                             "{} to {}".format(self.n_leaves, leaf_ids.min(), leaf_ids.max()))
         step = np.where(split, np.stack([self.children_left, self.children_right]),
                         np.arange(split.size)).T.ravel()
         Xflat = X.ravel()
@@ -674,65 +682,44 @@ def grow_arrays(X, Y, Z, cfg, gen):
     if cfg.splitter == "exhaustive":
         # Each distinct row once, weighted by its multiplicity.
         rows = np.flatnonzero(multiplicity)
-    nodes = _Nodes(rows.size, n)
     Xt, Zt = (X[rows], Z[rows]) if cfg.bootstrap else (X, Z)
+    leaf_of_row = np.empty(n, dtype=np.int64)
     if cfg.splitter == "random_threshold":
-        _grow_depth_first(nodes, Xt, Zt, rows, min_split, cfg.k, gen)
+        feature, threshold, counts = _grow_breadth_first(
+            Xt, Zt, rows, min_split, cfg.k, gen, leaf_of_row)
     else:
         weight = multiplicity[rows].astype(np.float64)
         if cfg.bootstrap:
             Zt *= weight[:, None]
-        _grow_by_depth(nodes, Xt, Zt, weight, rows, min_split, cfg.k, gen)
+        feature, threshold, counts = _grow_by_depth(
+            Xt, Zt, weight, rows, min_split, cfg.k, gen, leaf_of_row)
 
-    n_nodes, n_leaves = nodes.n_nodes, nodes.n_leaves
-    counts = nodes.counts[:n_leaves].copy()
-    return Tree(
-        feature=nodes.feature[:n_nodes].copy(),
-        threshold=nodes.threshold[:n_nodes].copy(),
-        children_left=nodes.children_left[:n_nodes].copy(),
-        children_right=nodes.children_right[:n_nodes].copy(),
-        leaf_id=nodes.leaf_of[:n_nodes].copy(),
-        leaf_values=_leaf_sums(Y, nodes.leaf_of_row, multiplicity, n_leaves)
-        / counts[:, None],
-        leaf_counts=counts,
-        n_features=p,
-    )
-
-
-class _Nodes:
-    """The node arrays of a tree being grown, preallocated: every leaf holds
-    at least one of the n_t samples, so a tree has at most n_t leaves and
-    2 * n_t - 1 nodes.  ``leaf_of_row`` maps original rows to leaves."""
-
-    def __init__(self, n_t, n):
-        size = 2 * n_t - 1
-        self.feature = np.full(size, -1, dtype=np.int64)
-        self.threshold = np.zeros(size)
-        self.children_left = np.full(size, -1, dtype=np.int64)
-        self.children_right = np.full(size, -1, dtype=np.int64)
-        self.leaf_of = np.full(size, -1, dtype=np.int64)
-        self.counts = np.empty(n_t, dtype=np.int64)
-        self.leaf_of_row = np.empty(n, dtype=np.int64)
-        self.n_nodes = 1
-        self.n_leaves = 0
+    # Nodes are numbered depth by depth, left to right: the j-th split node
+    # (rank j + 1 counting itself) has children 2j+1 and 2j+2, and a leaf's
+    # id counts the leaves before it.
+    split = feature >= 0
+    rank = np.cumsum(split)
+    left = np.where(split, 2 * rank - 1, -1)
+    leaf_values = _leaf_sums(Y, leaf_of_row, multiplicity, counts.size) / counts[:, None]
+    return Tree(feature=feature, threshold=threshold, children_left=left,
+                children_right=left + split,
+                leaf_id=np.where(split, -1, np.arange(split.size) - rank),
+                leaf_values=leaf_values, leaf_counts=counts, n_features=p)
 
 
-def _grow_depth_first(nodes, Xt, Zt, rows, min_split, k, gen):
-    """Random-threshold growth, one node at a time in depth-first order: a
-    split node's children take the next two ids, and the left subtree is
-    grown before the right one.  Each node draws its k features with
+def _grow_breadth_first(Xt, Zt, rows, min_split, k, gen, leaf_of_row):
+    """Random-threshold growth, one node at a time in node order (breadth
+    first, left to right).  Each node draws its k features with
     :func:`_draw_features`, as an exhaustive depth does, then its cuts,
-    from ``gen`` when it is reached."""
+    from ``gen`` when it is reached.  Returns every node's split feature
+    (-1 on a leaf) and threshold, and every leaf's sample count, and sets
+    ``leaf_of_row`` of the rows reaching each leaf to its leaf number."""
     p = Xt.shape[1]
     znorm2 = np.einsum("ij,ij->i", Zt, Zt)
-    feature, threshold = nodes.feature, nodes.threshold
-    children_left, children_right = nodes.children_left, nodes.children_right
-    leaf_of, counts, leaf_of_row = nodes.leaf_of, nodes.counts, nodes.leaf_of_row
-    n_nodes = 1
-    n_leaves = 0
-    stack = [(np.arange(rows.size, dtype=np.int64), 0)]
-    while stack:
-        samples, node = stack.pop()
+    feature, threshold, counts = [], [], []
+    queue = deque([np.arange(rows.size, dtype=np.int64)])
+    while queue:
+        samples = queue.popleft()
         q = samples.size
         found = None
         if q >= min_split:
@@ -744,20 +731,17 @@ def _grow_depth_first(nodes, Xt, Zt, rows, min_split, k, gen):
                 chosen = _draw_features(gen, 1, p, k)[0]
                 found = _scan_random_threshold(Xt, Zs, M, M2, samples, chosen, gen)
         if found is None:
-            leaf_of[node] = n_leaves
-            counts[n_leaves] = q
-            leaf_of_row[rows[samples]] = n_leaves
-            n_leaves += 1
+            leaf_of_row[rows[samples]] = len(counts)
+            counts.append(q)
+            feature.append(-1)
+            threshold.append(0.0)
             continue
         rec, left_samples, right_samples = found
-        feature[node] = rec.feature
-        threshold[node] = rec.threshold
-        children_left[node] = n_nodes
-        children_right[node] = n_nodes + 1
-        stack.append((right_samples, n_nodes + 1))
-        stack.append((left_samples, n_nodes))
-        n_nodes += 2
-    nodes.n_nodes, nodes.n_leaves = n_nodes, n_leaves
+        feature.append(rec.feature)
+        threshold.append(rec.threshold)
+        queue.extend((left_samples, right_samples))
+    return (np.array(feature, dtype=np.int64), np.array(threshold),
+            np.array(counts, dtype=np.int64))
 
 
 def _draw_features(gen, s, p, k):
@@ -770,53 +754,48 @@ def _draw_features(gen, s, p, k):
     return chosen
 
 
-def _grow_by_depth(nodes, Xt, Zt, weight, rows, min_split, k, gen):
+def _grow_by_depth(Xt, Zt, weight, rows, min_split, k, gen, leaf_of_row):
     """Exhaustive growth one depth at a time, on rows of ``Xt`` and ``Zt``
-    that stand for ``weight[r]`` samples each (``Zt`` scaled by it).  The
-    open nodes of a depth are numbered before any node of the next; each
+    that stand for ``weight[r]`` samples each (``Zt`` scaled by it).  Each
     depth draws the features of all its splittable nodes in one call, then
     scans them together with :func:`_scan_level`, and split nodes hand
-    their children, in order, to the next depth."""
+    their children, in order, to the next depth.  Returns and fills what
+    :func:`_grow_breadth_first` does, in the same node order."""
     p = Xt.shape[1]
     znorm2 = np.einsum("ij,ij->i", Zt, Zt) / weight
     G = _gram(Zt)
-    ids = np.zeros(1, dtype=np.int64)
     samples = np.arange(rows.size, dtype=np.int64)
     sizes = np.array([rows.size])
-    while ids.size:
+    features, thresholds, counts = [], [], []
+    n_leaves = 0
+    while True:
         bounds, W, M, M2 = _node_sums(Zt, weight, samples, sizes)
         impurity = np.add.reduceat(znorm2[samples], bounds[:-1]) / W - M2 / (W * W)
         # A node of one distinct row has nothing to split, whatever rounding
         # leaves of its impurity once its row is scaled by its weight.
         open_ = (sizes >= 2) & (W >= min_split) & (impurity > PURE_NODE_TOL)
         scan = np.flatnonzero(open_)
-        split = np.zeros(ids.size, dtype=bool)
+        level_feature = np.full(sizes.size, -1, dtype=np.int64)
+        level_threshold = np.zeros(sizes.size)
         if scan.size:
             gain, feature, threshold, n_left, ordered = _scan_level(
                 Xt, Zt, weight, samples[np.repeat(open_, sizes)], sizes[scan], W[scan],
                 M[scan], M2[scan], _draw_features(gen, scan.size, p, k), G,
             )
             ok = gain > 0.0
-            split[scan[ok]] = True
+            level_feature[scan[ok]] = feature[ok]
+            level_threshold[scan[ok]] = threshold[ok]
+        features.append(level_feature)
+        thresholds.append(level_threshold)
 
-        leaves = ~split
-        leaf_ids = nodes.n_leaves + np.arange(np.count_nonzero(leaves))
-        nodes.leaf_of[ids[leaves]] = leaf_ids
-        nodes.counts[leaf_ids] = W[leaves]
-        in_leaf = np.repeat(leaves, sizes)
-        nodes.leaf_of_row[rows[samples[in_leaf]]] = np.repeat(leaf_ids, sizes[leaves])
-        nodes.n_leaves += leaf_ids.size
-        if not split.any():
-            return
-
-        parents = ids[split]
-        left = nodes.n_nodes + 2 * np.arange(parents.size)
-        nodes.feature[parents] = feature[ok]
-        nodes.threshold[parents] = threshold[ok]
-        nodes.children_left[parents] = left
-        nodes.children_right[parents] = left + 1
-        nodes.n_nodes += 2 * parents.size
-        ids = np.column_stack([left, left + 1]).ravel()
+        leaves = level_feature < 0
+        counts.append(W[leaves].astype(np.int64))
+        leaf_ids = n_leaves + np.arange(counts[-1].size)
+        leaf_of_row[rows[samples[np.repeat(leaves, sizes)]]] = np.repeat(leaf_ids, sizes[leaves])
+        n_leaves += leaf_ids.size
+        if leaves.all():
+            break
         samples = ordered[np.repeat(ok, sizes[scan])]
         n_left = n_left[ok]
         sizes = np.column_stack([n_left, sizes[scan][ok] - n_left]).ravel()
+    return np.concatenate(features), np.concatenate(thresholds), np.concatenate(counts)

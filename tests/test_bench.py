@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from projforest import (
+    DataSet,
     ExperimentConfig,
     SplitPlan,
+    make_splits,
     make_synthetic_multilabel,
     read_grid_csv,
     run_grid,
@@ -204,6 +206,23 @@ class TestRunGrid:
             rows = run_grid(cfg, ds=ds)
         # identity with m=1 != d aborts; identity with m=d survives
         assert {row["m"] for row in rows} == {"d"}
+        assert any("aborted" in rec.message for rec in caplog.records)
+
+    def test_point_failing_on_a_later_split_keeps_no_rows(self, caplog):
+        # Rows 8-11 carry no labels, and fold 2 of this plan tests exactly
+        # them, so the point fails on its last split after two good ones.
+        X = np.random.default_rng(0).random((12, 3))
+        Y = np.zeros((12, 2))
+        Y[:8, 0] = 1.0
+        Y[:8:2, 1] = 1.0
+        plan = SplitPlan("kfold", folds=3, seed=132)
+        ds = DataSet(X, Y)
+        assert sorted(make_splits(ds, plan)[2][1].rows()) == [8, 9, 10, 11]
+        cfg = ExperimentConfig(data="<in-memory>", plan=plan,
+                               grid={"m": ["1"], "t": ["2"]}, seed=5)
+        with caplog.at_level(logging.WARNING):
+            rows = run_grid(cfg, ds=ds)
+        assert rows == []
         assert any("aborted" in rec.message for rec in caplog.records)
 
     def test_fit_repeats_on_a_single_split(self):

@@ -98,6 +98,10 @@ class TestGenerate:
         with pytest.raises(ValueError, match=message):
             generate(spec, d, stream(0, 0))
 
+    def test_fractional_output_dimension_rejected(self):
+        with pytest.raises(ValueError, match="^output dimension d must be an integer, got 2.5$"):
+            generate(ProjectionSpec("gaussian", 2), 2.5, stream(0, 0))
+
     def test_gaussian_entry_variance(self):
         m, d = 20, 600
         phi = generate(ProjectionSpec("gaussian", m), d, stream(2, 0))
@@ -197,6 +201,10 @@ class TestJlMinDimension:
         with pytest.raises(ValueError):
             jl_min_dimension(0.5, 1)
 
+    def test_fractional_point_count_rejected(self):
+        with pytest.raises(ValueError, match="^n must be an integer, got 2.5$"):
+            jl_min_dimension(0.5, 2.5)
+
 
 class TestPca:
     def test_single_active_column(self):
@@ -243,6 +251,13 @@ class TestPca:
         with pytest.raises(ValueError):
             pca_projection(Y, 5)
 
+    @pytest.mark.parametrize("m, message", [
+        (0, "^m must be >= 1, got 0$"), (2.5, "^m must be an integer, got 2.5$"),
+    ], ids=["zero", "fractional"])
+    def test_m_must_be_a_positive_integer(self, m, message):
+        with pytest.raises(ValueError, match=message):
+            pca_projection(sp.csr_matrix(np.eye(4)), m)
+
     def test_too_many_labels(self):
         with pytest.raises(ValueError, match="d <= 5000"):
             pca_projection(sp.csr_matrix((3, 5001)), 1)
@@ -282,6 +297,12 @@ class TestDistortion:
         phi = generate(ProjectionSpec("gaussian", 2), 3, stream(8, 0))
         with pytest.raises(ValueError, match="at least two rows"):
             distortion_check(phi, sp.csr_matrix(np.ones((1, 3))), 0.1)
+
+    @pytest.mark.parametrize("epsilon", [-1.0, np.nan], ids=["negative", "nan"])
+    def test_tolerance_must_not_be_negative(self, epsilon):
+        phi = generate(ProjectionSpec("gaussian", 2), 3, stream(8, 0))
+        with pytest.raises(ValueError, match="^epsilon must be >= 0"):
+            distortion_check(phi, sp.csr_matrix(np.eye(3)), epsilon)
 
     def test_duplicate_rows_are_skipped(self):
         Y = sp.csr_matrix(np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))

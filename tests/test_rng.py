@@ -6,7 +6,16 @@ import numpy as np
 import pytest
 
 import projforest
-from projforest import grow_arrays, stream
+from projforest import (
+    EnsembleConfig,
+    ProjectionSpec,
+    TreeConfig,
+    estimate_ensemble,
+    grow_arrays,
+    make_synthetic_multilabel,
+    stream,
+    two_feature_problem,
+)
 
 SOURCE = Path(projforest.__file__).resolve().parent
 
@@ -60,6 +69,30 @@ class TestStream:
     @pytest.mark.parametrize("seed", [0, 123, np.int64(9), 2**63 - 1])
     def test_unkeyed_stream_draws_the_seed_sequence(self, seed):
         np.testing.assert_array_equal(stream(seed).random(16), spawned(seed, ()).random(16))
+
+
+BAD_SEEDS = pytest.mark.parametrize("seed, message", [
+    (True, "^seed must be an integer, got True$"),
+    (1.5, "^seed must be an integer, got 1.5$"),
+    (-1, "^seed must be >= 0, got -1$"),
+], ids=["bool", "float", "negative"])
+
+
+class TestSeedCheck:
+    # Every generator is built by ``stream``, so its one seed check covers
+    # every seeded entry point.
+    @BAD_SEEDS
+    def test_estimate_ensemble_rejects(self, seed, message):
+        cfg = EnsembleConfig(t=2, tree=TreeConfig(k=1, splitter="random_threshold"),
+                             projection=ProjectionSpec("gaussian", 1))
+        with pytest.raises(ValueError, match=message):
+            estimate_ensemble(two_feature_problem(n_train=20), cfg, n_ls=2, n_phi=2,
+                              n_eps=2, seed=seed)
+
+    @BAD_SEEDS
+    def test_make_synthetic_multilabel_rejects(self, seed, message):
+        with pytest.raises(ValueError, match=message):
+            make_synthetic_multilabel(10, 3, 4, seed=seed)
 
 
 def attribute_names(path):

@@ -343,20 +343,13 @@ def node_depths(tree):
     return depth
 
 
-def preorder(tree, node=0):
-    yield node
-    if tree.feature[node] >= 0:
-        yield from preorder(tree, tree.children_left[node])
-        yield from preorder(tree, tree.children_right[node])
-
-
 class TestGrowthOrder:
     X = np.floor(np.random.default_rng(20).random((120, 5)) * 6.0)
     Y = (np.random.default_rng(21).random((120, 6)) < 0.4).astype(float)
 
-    def test_exhaustive_numbers_each_depth_before_the_next(self):
-        tree = grow_arrays(self.X, self.Y, self.Y, TreeConfig(k=3, n_min=2),
-                           stream(3, 0))
+    def check_numbers_each_depth_before_the_next(self, splitter):
+        tree = grow_arrays(self.X, self.Y, self.Y,
+                           TreeConfig(k=3, n_min=2, splitter=splitter), stream(3, 0))
         depth = node_depths(tree)
         assert depth.max() >= 4
         assert (np.diff(depth) >= 0).all()
@@ -364,18 +357,14 @@ class TestGrowthOrder:
         split = np.flatnonzero(tree.feature >= 0)
         np.testing.assert_array_equal(tree.children_left[split], 2 * np.arange(split.size) + 1)
         np.testing.assert_array_equal(tree.children_right[split], tree.children_left[split] + 1)
+        # Leaves are numbered in node order.
+        np.testing.assert_array_equal(tree.leaf_id[tree.feature < 0], np.arange(tree.n_leaves))
 
-    def test_random_threshold_numbers_depth_first(self):
-        tree = grow_arrays(self.X, self.Y, self.Y,
-                           TreeConfig(k=3, n_min=2, splitter="random_threshold"),
-                           stream(3, 0))
-        depth = node_depths(tree)
-        assert (np.diff(depth) < 0).any()
-        # Split nodes hand out child ids in depth-first (preorder) order,
-        # the left subtree before the right one.
-        split = [node for node in preorder(tree) if tree.feature[node] >= 0]
-        np.testing.assert_array_equal(tree.children_left[split], 2 * np.arange(len(split)) + 1)
-        np.testing.assert_array_equal(tree.children_right[split], tree.children_left[split] + 1)
+    def test_exhaustive_numbers_each_depth_before_the_next(self):
+        self.check_numbers_each_depth_before_the_next("exhaustive")
+
+    def test_random_threshold_numbers_each_depth_before_the_next(self):
+        self.check_numbers_each_depth_before_the_next("random_threshold")
 
     def test_exhaustive_draws_every_depth_in_one_call(self):
         # Replays the documented draws: per depth, one k-of-p draw for all
@@ -397,6 +386,30 @@ class TestGrowthOrder:
             for node, features in zip(open_, drawn):
                 if tree.feature[node] >= 0:
                     assert tree.feature[node] in features
+
+    def test_random_threshold_draws_each_node_when_reached(self):
+        # Replays the documented draws: nodes in id order; each open node
+        # draws k of p features, then one uniform cut per feature whose
+        # values in the node are not all equal, and splits on one of them.
+        cfg = TreeConfig(k=2, n_min=3, splitter="random_threshold")
+        tree = grow_arrays(self.X, self.Y, self.Y, cfg, stream(4, 0))
+        members = node_memberships(tree, self.X)
+        gen = stream(4, 0)
+        n_split = 0
+        for node in range(tree.n_nodes):
+            rows = members[node]
+            if rows.size < cfg.n_min or not variance_sum(self.Y[rows]) > tree_module.PURE_NODE_TOL:
+                assert tree.feature[node] < 0
+                continue
+            cuts = {}
+            for f in tree_module._draw_features(gen, 1, self.X.shape[1], cfg.k)[0]:
+                v = self.X[rows, f]
+                if v.min() < v.max():
+                    cuts[f] = gen.uniform(v.min(), v.max())
+            if tree.feature[node] >= 0:
+                assert tree.threshold[node] == cuts[tree.feature[node]]
+                n_split += 1
+        assert n_split == np.count_nonzero(tree.feature >= 0) >= 5
 
     def test_draw_is_the_k_smallest_of_p_uniform_keys(self):
         keys = stream(5, 0).random((7, 9))
@@ -834,6 +847,14 @@ class TestPredict:
             tree.predict(sp.csr_matrix(X)), tree.predict(X)
         )
 
+    @pytest.mark.parametrize("leaf_id", [-1, 2], ids=["negative", "past-the-end"])
+    def test_leaf_id_outside_leaf_values_rejected(self, leaf_id):
+        # A hand-built stump whose left leaf names no row of its two leaf_values.
+        tree = Tree(np.array([0, -1, -1]), np.array([0.5, 0.0, 0.0]), np.array([1, -1, -1]),
+                    np.array([2, -1, -1]), np.array([-1, leaf_id, 1]),
+                    np.array([[1.0], [2.0]]), np.array([1, 1]), 1)
+        with pytest.raises(ValueError, match=r"^leaf_id must lie in \[0, 2\) on every leaf"):
+            tree.predict(np.array([[0.0], [1.0]]))
 
     @pytest.mark.parametrize("feature, left, right", [
         ([0], [0], [0]),
