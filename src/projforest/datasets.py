@@ -582,7 +582,12 @@ def make_synthetic_multilabel(
     Each cluster owns a feature centroid and a sparse label pattern; rows get
     gaussian feature noise around their centroid and rare label flips.  Useful
     for end-to-end tests and benchmarks when no real dataset is at hand.
+    ``n``, ``p``, ``d``, ``n_clusters`` and ``labels_per_cluster`` must be
+    integers of at least 1.
     """
+    for name, value in (("n", n), ("p", p), ("d", d), ("n_clusters", n_clusters),
+                        ("labels_per_cluster", labels_per_cluster)):
+        check_integer(name, value, 1)
     gen = stream(seed)
     centroids = gen.standard_normal((n_clusters, p)) * 2.0
     patterns = np.zeros((n_clusters, d))

@@ -16,6 +16,8 @@ the variance curve runs it once per ensemble size with n_phi = n_eps = 1.
 """
 
 import csv
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,7 +70,15 @@ class SyntheticProblem:
 
 
 def two_feature_problem(n_train=100, noise_sd=0.1, n_probes=5):
-    """Smooth 2-feature, 2-output regression problem with gaussian noise."""
+    """Smooth 2-feature, 2-output regression problem with gaussian noise.
+    ``n_train`` and ``n_probes`` must be integers of at least 1 (no probe
+    at all is left to the problem's own check) and ``noise_sd`` a finite
+    number of at least 0."""
+    check_integer("n_train", n_train, 1)
+    check_integer("n_probes", n_probes, 0)
+    if isinstance(noise_sd, (bool, np.bool_)) or not isinstance(noise_sd, numbers.Real) \
+            or not 0.0 <= noise_sd < math.inf:
+        raise ValueError("noise_sd must be a finite number >= 0, got {!r}".format(noise_sd))
 
     def sample_inputs(gen, n):
         return gen.random((n, 2))

@@ -133,7 +133,8 @@ class Ensemble:
             raise ValueError(
                 "unsupported ensemble document version: {!r}".format(doc.get("version"))
             )
-        check_document(doc, "ensemble document", _DOC_FIELDS)
+        check_document(doc, "ensemble document", _DOC_FIELDS,
+                       ("format", "version", *_DOC_FIELDS))
         spec = doc["projection"]
         config = EnsembleConfig(
             t=doc["t"],

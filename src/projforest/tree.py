@@ -436,38 +436,45 @@ def best_split_random_threshold(X, Z, samples, features, gen):
 
 # The array fields of a tree document, in document order: integer ("i") or
 # real ("if").
-_DOC_ARRAYS = {"feature": "i", "threshold": "if", "children_left": "i",
-               "children_right": "i", "leaf_id": "i", "leaf_values": "if",
-               "leaf_counts": "i"}
+_DOC_ARRAYS = {"feature": "i", "threshold": "if", "leaf_values": "if", "leaf_counts": "i"}
 
 
 class Tree:
     """Array-encoded binary tree with leaf vectors in the original label space.
 
-    Internal nodes store (feature, threshold, children);
-    leaves index into ``leaf_values`` (leaf_count x d) and ``leaf_counts``.
-    Routing sends a sample left iff its feature value is <= the threshold.
+    Nodes are numbered depth by depth, left to right, as both growers number
+    them: ``feature`` holds each node's split feature (negative on a leaf)
+    and ``threshold`` its cut, and the rows of ``leaf_values`` (leaf_count x
+    d) and ``leaf_counts`` follow the leaves in node order.  The j-th split
+    node's children are nodes 2j+1 and 2j+2, so ``children_left``,
+    ``children_right`` (-1 on a leaf) and ``leaf_id`` (-1 on a split node)
+    are derived here, once, and never given.  Arrays that do not encode one
+    such tree are rejected.  Routing sends a sample left iff its feature
+    value is <= the threshold.
     """
 
     FORMAT = "projforest-tree"
-    VERSION = 2
+    VERSION = 3
 
-    def __init__(
-        self,
-        feature,
-        threshold,
-        children_left,
-        children_right,
-        leaf_id,
-        leaf_values,
-        leaf_counts,
-        n_features,
-    ):
+    def __init__(self, feature, threshold, leaf_values, leaf_counts, n_features):
+        # Node i > 0 is a child of the ceil(i / 2)-th split node, which must
+        # come before it: at least i / 2 of nodes 0..i-1 split.  Then every
+        # child id is above its parent's and routing ends at a leaf.
+        split = feature >= 0
+        rank = np.cumsum(split)
+        n_split = int(rank[-1]) if rank.size else 0
+        if (feature.shape != (2 * n_split + 1,) or threshold.shape != feature.shape
+                or leaf_values.shape[0] != n_split + 1
+                or not (2 * rank[:-1] > np.arange(feature.size - 1)).all()):
+            raise ValueError(
+                "feature does not encode one binary tree in level order: {} nodes, {} of "
+                "them split nodes, with {} thresholds and {} leaf_values rows".format(
+                    feature.size, n_split, threshold.size, leaf_values.shape[0]))
         self.feature = feature
         self.threshold = threshold
-        self.children_left = children_left
-        self.children_right = children_right
-        self.leaf_id = leaf_id
+        self.children_left = np.where(split, 2 * rank - 1, -1)
+        self.children_right = self.children_left + split
+        self.leaf_id = np.where(split, -1, np.arange(split.size) - rank)
         self.leaf_values = leaf_values
         self.leaf_counts = leaf_counts
         self.n_features = int(n_features)
@@ -514,18 +521,12 @@ class Tree:
         is ignored.  Routing stops once no row is on a split node.  For the
         finite values checked here, "x > threshold goes right" is exactly
         "x <= threshold goes left".  A tree is shallower than its node
-        count, so a row still on a split node after that many steps means
-        the arrays hold a cycle, not a tree, and raise a ``ValueError``, as
-        does a leaf whose ``leaf_id`` names no ``leaf_values`` row.
+        count, so that many steps take every row to its leaf.
         """
         if not checked:
             X = self.check_rows(X)
         n, p = X.shape
         split = self.feature >= 0
-        leaf_ids = self.leaf_id[~split]
-        if leaf_ids.size and not 0 <= leaf_ids.min() <= leaf_ids.max() < self.n_leaves:
-            raise ValueError("leaf_id must lie in [0, {}) on every leaf, got values from "
-                             "{} to {}".format(self.n_leaves, leaf_ids.min(), leaf_ids.max()))
         step = np.where(split, np.stack([self.children_left, self.children_right]),
                         np.arange(split.size)).T.ravel()
         Xflat = X.ravel()
@@ -537,11 +538,6 @@ class Tree:
                 break
             x = Xflat.take(row_start + f, mode="clip")
             node = step.take(2 * node + (x > self.threshold.take(node)))
-        else:
-            raise ValueError(
-                "the tree arrays hold a cycle: rows are still on split nodes "
-                "after {} steps".format(split.size)
-            )
         return self.leaf_id.take(node)
 
     def predict(self, X, *, checked=False):
@@ -562,41 +558,23 @@ class Tree:
             raise ValueError(
                 "unsupported tree document version: {!r}".format(doc.get("version"))
             )
-        check_document(doc, "tree document", ("n_features", *_DOC_ARRAYS))
+        check_document(doc, "tree document", ("n_features", *_DOC_ARRAYS),
+                       ("format", "version", "n_features", *_DOC_ARRAYS))
         check_integer("tree document: n_features", doc["n_features"], 1)
         tree = cls(n_features=doc["n_features"], **{
             name: _doc_numbers(doc, name, kinds) for name, kinds in _DOC_ARRAYS.items()})
-        tree._check_structure()
-        return tree
-
-    def _check_structure(self):
-        """Reject arrays that do not encode one binary tree, so that routing
-        always ends at a leaf and every leaf has its own ``leaf_values`` row
-        and a count of at least one sample, and non-finite thresholds or
-        leaf values, which would route or predict silently wrong."""
-        n = self.n_nodes
-        per_node = (self.threshold, self.children_left, self.children_right,
-                    self.leaf_id)
-        if any(a.shape != (n,) for a in per_node):
-            raise ValueError("tree document: node arrays differ in length")
-        if self.leaf_counts.shape != (self.n_leaves,) or (self.leaf_counts < 1).any():
+        # What the constructor leaves to a document: a leaf without a count
+        # of at least one sample, a split feature X has no column for, and
+        # a non-finite threshold or leaf value, which would route or
+        # predict silently wrong.
+        if tree.leaf_counts.shape != (tree.n_leaves,) or (tree.leaf_counts < 1).any():
             raise ValueError("tree document: leaf_counts must hold a count of at "
                              "least 1 per leaf_values row")
-        split = self.feature >= 0
-        parent = np.tile(np.nonzero(split)[0], 2)
-        children = np.concatenate([self.children_left[split], self.children_right[split]])
-        if (children <= parent).any() or (children >= n).any():
-            raise ValueError("tree document: a child index is out of range "
-                             "or not above its parent's")
-        if not np.array_equal(np.sort(children), np.arange(1, n)):
-            raise ValueError("tree document: a non-root node has no parent or two")
-        if (self.feature >= self.n_features).any():
+        if (tree.feature >= tree.n_features).any():
             raise ValueError("tree document: a split feature is out of range")
-        if not np.array_equal(np.sort(self.leaf_id[~split]), np.arange(self.n_leaves)):
-            raise ValueError("tree document: leaf_id is not one-to-one onto "
-                             "the leaf_values rows")
-        check_finite(self.threshold, "tree document: a threshold is not finite")
-        check_finite(self.leaf_values, "tree document: a leaf value is not finite")
+        check_finite(tree.threshold, "tree document: a threshold is not finite")
+        check_finite(tree.leaf_values, "tree document: a leaf value is not finite")
+        return tree
 
 
 def _doc_numbers(doc, name, kinds):
@@ -693,18 +671,8 @@ def grow_arrays(X, Y, Z, cfg, gen):
             Zt *= weight[:, None]
         feature, threshold, counts = _grow_by_depth(
             Xt, Zt, weight, rows, min_split, cfg.k, gen, leaf_of_row)
-
-    # Nodes are numbered depth by depth, left to right: the j-th split node
-    # (rank j + 1 counting itself) has children 2j+1 and 2j+2, and a leaf's
-    # id counts the leaves before it.
-    split = feature >= 0
-    rank = np.cumsum(split)
-    left = np.where(split, 2 * rank - 1, -1)
     leaf_values = _leaf_sums(Y, leaf_of_row, multiplicity, counts.size) / counts[:, None]
-    return Tree(feature=feature, threshold=threshold, children_left=left,
-                children_right=left + split,
-                leaf_id=np.where(split, -1, np.arange(split.size) - rank),
-                leaf_values=leaf_values, leaf_counts=counts, n_features=p)
+    return Tree(feature, threshold, leaf_values, counts, p)
 
 
 def _grow_breadth_first(Xt, Zt, rows, min_split, k, gen, leaf_of_row):

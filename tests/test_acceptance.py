@@ -37,7 +37,7 @@ from projforest import (
     variance_sum,
     write_grid_csv,
 )
-from projforest.bench import CSV_COLUMNS, TIMING_COLUMNS
+from projforest.bench import CSV_COLUMNS, TIMING_COLUMNS, fit_point
 from projforest.tree import grow_arrays
 
 from support import (
@@ -185,11 +185,17 @@ def _find_dataset(name):
     return None
 
 
-def _mean_lrap(ds, plan, ens_cfg_for):
-    values = []
-    for repeat, (train, test) in enumerate(make_splits(ds, plan)):
-        ensemble = fit(train, ens_cfg_for(repeat))
-        values.append(lrap(ensemble.predict(test.X_rows()), test.Y_rows()))
+# The plain forest of criterion 5 as a grid point: k = sqrt(p), 100 fully
+# grown exhaustive trees on bootstrap samples.
+FOREST_POINT = {"m": "d", "k": "sqrt_p", "t": "100", "n_min": "1", "policy": "no_projection",
+                "kind": "gaussian", "splitter": "exhaustive", "bootstrap": "true", "s": "1"}
+
+
+def _mean_lrap(ds, plan, point):
+    """Mean and std over the plan's repeats of the test LRAP of the grid
+    ``point``, each repeat fitted as a grid run with seed 1 fits it."""
+    values = [fit_point(point, train, test, 1, repeat)[1]["lrap"]
+              for repeat, (train, test) in enumerate(make_splits(ds, plan))]
     return float(np.mean(values)), float(np.std(values))
 
 
@@ -204,33 +210,15 @@ def test_criterion_5_benchmark_reproduction():
         )
     start = time.perf_counter()
 
-    def rf_cfg(ds, repeat, projection=None, policy="no_projection"):
-        k = max(1, int(np.sqrt(ds.n_features)))
-        return EnsembleConfig(
-            t=100,
-            tree=TreeConfig(k=k, n_min=1, splitter="exhaustive", bootstrap=True),
-            projection=projection,
-            policy=policy,
-            master_seed=1_000_003 + repeat,
-        )
-
     emotions = load_svmlight_multilabel(emotions_path)
     plan = SplitPlan("shuffled_repeats", n_train=391, n_test=202, count=10, seed=5)
-    em_plain, em_std = _mean_lrap(emotions, plan, lambda r: rf_cfg(emotions, r))
-    em_proj, _ = _mean_lrap(
-        emotions,
-        plan,
-        lambda r: rf_cfg(
-            emotions,
-            r,
-            projection=ProjectionSpec("gaussian", emotions.n_labels),
-            policy="per_tree_subspace",
-        ),
-    )
+    em_plain, em_std = _mean_lrap(emotions, plan, FOREST_POINT)
+    # A gaussian map at m = d, drawn afresh for every tree.
+    em_proj, _ = _mean_lrap(emotions, plan, dict(FOREST_POINT, policy="per_tree_subspace"))
 
     yeast = load_svmlight_multilabel(yeast_path)
     plan_y = SplitPlan("shuffled_repeats", n_train=1500, n_test=917, count=10, seed=5)
-    ye_plain, ye_std = _mean_lrap(yeast, plan_y, lambda r: rf_cfg(yeast, r))
+    ye_plain, ye_std = _mean_lrap(yeast, plan_y, FOREST_POINT)
 
     elapsed = time.perf_counter() - start
     ok = (

@@ -6,6 +6,8 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
 import projforest.ensemble as ensemble
 from projforest import (
     EnsembleConfig,
@@ -17,14 +19,22 @@ from projforest import (
     two_feature_problem,
 )
 
-SPANS = Path(__file__).resolve().parents[1] / "benchmark" / "spans.py"
+from test_ensemble import hand_built_forest
+
+BENCHMARK = Path(__file__).resolve().parents[1] / "benchmark"
 
 
-def load_spans():
-    spec = importlib.util.spec_from_file_location("benchmark_spans", SPANS)
+def load_benchmark(name):
+    """The module ``benchmark/<name>.py``, loaded from its file."""
+    spec = importlib.util.spec_from_file_location("benchmark_" + name,
+                                                  BENCHMARK / (name + ".py"))
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def load_spans():
+    return load_benchmark("spans")
 
 
 def count_calls(monkeypatch, layer):
@@ -87,3 +97,36 @@ def test_fits_grow_every_tree_through_the_traced_name(monkeypatch):
     del calls[:]
     estimate_ensemble(two_feature_problem(n_train=30), cfg, n_ls=2, n_phi=2, n_eps=3)
     assert len(calls) == 2 * 2 * 2 * 3  # t trees per fit, n_ls * n_phi * n_eps fits
+
+
+def fitted_forest():
+    ds = make_synthetic_multilabel(40, 3, 5, seed=1)
+    cfg = EnsembleConfig(t=3, tree=TreeConfig(k=2), projection=ProjectionSpec("gaussian", 2))
+    return fit(ds, cfg), ds
+
+
+def test_benchmark_checks_read_fitted_and_hand_built_trees():
+    checks, spans = load_benchmark("checks"), load_spans()
+    forest, ds = fitted_forest()
+    X = ds.X_rows()
+    assert checks.check_trees(forest, ds.n_samples, "fit") == []
+    np.testing.assert_array_equal(checks.walk_predict(forest, X), forest.predict(X))
+    hand_built = hand_built_forest()
+    for tree in hand_built.trees:
+        alone = ensemble.Ensemble([tree], config=None)
+        assert checks.check_trees(alone, int(tree.leaf_counts.sum()), "hand-built",
+                                  binary_labels=False) == []
+    X = np.random.default_rng(5).normal(scale=3.0, size=(50, hand_built.trees[0].n_features))
+    np.testing.assert_array_equal(checks.walk_predict(hand_built, X), hand_built.predict(X))
+    for tree in forest.trees + hand_built.trees:
+        counts = spans.tree_counts(tree)
+        assert counts["nodes"] == 2 * counts["leaves"] - 1
+
+
+def test_benchmark_tree_check_sees_an_in_place_write():
+    checks = load_benchmark("checks")
+    forest, ds = fitted_forest()
+    tree = forest.trees[0]
+    assert tree.feature[0] >= 0
+    tree.children_left[0] = tree.feature.size
+    assert checks.check_trees(forest, ds.n_samples, "fit")

@@ -428,6 +428,18 @@ def test_loader_matches_the_reference_on_corrupted_files(tmp_path, spec, corrupt
     assert_same_outcome(path)
 
 
+class TestSyntheticMultilabel:
+    @pytest.mark.parametrize("name, value", [
+        ("n", 0), ("n", 2.5), ("p", 0), ("d", 0), ("d", np.float64(4.0)),
+        ("n_clusters", 0), ("labels_per_cluster", 0), ("labels_per_cluster", True),
+    ])
+    def test_sizes_rejected_by_name(self, name, value):
+        sizes = dict(n=10, p=3, d=4)
+        sizes[name] = value
+        with pytest.raises(ValueError, match="^{} must be".format(name)):
+            make_synthetic_multilabel(**sizes)
+
+
 class TestSplits:
     def test_kfold_partitions(self):
         ds = make_synthetic_multilabel(100, 3, 4, seed=3)

@@ -116,6 +116,15 @@ class TestEstimatorStructure:
         with pytest.raises(ValueError, match="at least one probe point"):
             two_feature_problem(n_probes=0)
 
+    @pytest.mark.parametrize("name, value", [
+        ("n_train", 0), ("n_train", 1.5), ("n_probes", 2.5), ("n_probes", -1),
+        ("noise_sd", -0.1), ("noise_sd", float("nan")), ("noise_sd", float("inf")),
+        ("noise_sd", "0.1"),
+    ])
+    def test_problem_arguments_rejected_by_name(self, name, value):
+        with pytest.raises(ValueError, match="^{} must be".format(name)):
+            two_feature_problem(**{name: value})
+
     @pytest.mark.parametrize("n_ls", [2, 6, 30])
     def test_bootstrap_pass_equals_one_resample_at_a_time(self, n_ls):
         # Reference: each replicate drawn alone, in order, from the same

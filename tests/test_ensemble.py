@@ -192,17 +192,14 @@ def chain_tree(p, d, cuts):
     n = 2 * len(cuts) + 1
     feature = np.full(n, -1)
     threshold = np.zeros(n)
-    left, right = np.full(n, -1), np.full(n, -1)
     node = 0
     for depth, cut in enumerate(cuts):
+        # In level order the split at this depth has children 2 * depth + 1
+        # (left) and 2 * depth + 2 (right).
         feature[node], threshold[node] = depth % p, cut
-        left[node], right[node] = 2 * depth + 1, 2 * depth + 2
-        node = right[node] if depth % 2 == 0 else left[node]
-    leaf_id = np.full(n, -1)
-    leaf_id[feature < 0] = np.arange(len(cuts) + 1)
+        node = 2 * depth + 2 if depth % 2 == 0 else 2 * depth + 1
     leaf_values = np.repeat(np.arange(len(cuts) + 1.0)[:, None], d, axis=1)
-    return Tree(feature, threshold, left, right, leaf_id, leaf_values,
-                np.ones(len(cuts) + 1, dtype=np.int64), p)
+    return Tree(feature, threshold, leaf_values, np.ones(len(cuts) + 1, dtype=np.int64), p)
 
 
 @lru_cache(maxsize=None)
@@ -210,8 +207,7 @@ def hand_built_forest():
     """A single-leaf tree (its rows take no step) and a six-deep chain tree,
     as wide as ``small_data``."""
     p, d = 4, 8
-    single_leaf = Tree(np.array([-1]), np.zeros(1), np.array([-1]), np.array([-1]),
-                       np.array([0]), np.full((1, d), 0.25), np.array([1]), p)
+    single_leaf = Tree(np.array([-1]), np.zeros(1), np.full((1, d), 0.25), np.array([1]), p)
     return Ensemble([single_leaf, chain_tree(p, d, [-3.0, 3.0, -2.0, 2.0, -1.0, 1.0])],
                     config=None)
 
@@ -305,14 +301,6 @@ class TestSaveLoad:
             Ensemble.load(path)
 
     @pytest.mark.parametrize("mutate, message", [
-        (lambda doc: set_child(doc, "children_right", split_nodes(doc)[-1], 0),
-         "child index"),
-        (lambda doc: set_child(doc, "children_left", 0, len(doc["trees"][0]["feature"])),
-         "child index"),
-        (lambda doc: set_child(doc, "children_right", 0,
-                               doc["trees"][0]["children_left"][0]),
-         "no parent or two"),
-        (lambda doc: repeat_first_leaf_id(doc["trees"][0]), "leaf_id"),
         (lambda doc: doc["trees"][1]["threshold"].__setitem__(0, float("nan")),
          "threshold is not finite"),
         (lambda doc: doc["trees"][0]["leaf_values"][0].__setitem__(0, float("inf")),
@@ -327,6 +315,7 @@ class TestSaveLoad:
         (lambda doc: doc["tree"].pop("k"), "^ensemble document: tree has no field 'k'$"),
         (lambda doc: doc["tree"].update(depth=3),
          "^ensemble document: tree has an unknown field 'depth'$"),
+        (lambda doc: doc.update(extra=1), "^ensemble document has an unknown field 'extra'$"),
         (lambda doc: doc.pop("projection"),
          "^ensemble document has no field 'projection'$"),
         (lambda doc: doc["projection"].update(seed=1),
@@ -346,9 +335,9 @@ class TestSaveLoad:
          "^tree document: leaf_counts must hold a count of at least 1"),
         (lambda doc: doc["trees"][1]["leaf_counts"].__setitem__(-1, -3),
          "^tree document: leaf_counts must hold a count of at least 1"),
-    ], ids=["cycle-to-root", "child-out-of-range", "two-parents", "leaf-id-repeated",
-            "nan-threshold", "inf-leaf-value", "t-mismatch", "n-features-mismatch", "label-count-mismatch",
-            "missing-tree-k", "unknown-tree-field", "missing-projection",
+    ], ids=["nan-threshold", "inf-leaf-value", "t-mismatch", "n-features-mismatch",
+            "label-count-mismatch", "missing-tree-k", "unknown-tree-field",
+            "unknown-top-level-field", "missing-projection",
             "unknown-projection-field", "tree-without-n-features", "tree-without-threshold",
             "tree-as-list", "tree-config-as-list", "trees-as-number", "ragged-leaf-values",
             "zero-leaf-count", "negative-leaf-count"])
@@ -387,19 +376,6 @@ def test_save_load_predict_round_trip(splitter, bootstrap, t, csr, policy, n, p,
     query = np.random.default_rng(seed).normal(scale=2.0, size=(7, p))
     for rows in (X, query, sp.csr_matrix(query)):
         np.testing.assert_array_equal(back.predict(rows), ens.predict(rows))
-
-
-def split_nodes(doc):
-    return [i for i, f in enumerate(doc["trees"][0]["feature"]) if f >= 0]
-
-
-def set_child(doc, side, node, child):
-    doc["trees"][0][side][node] = child
-
-
-def repeat_first_leaf_id(tree):
-    leaves = [i for i, f in enumerate(tree["feature"]) if f < 0]
-    tree["leaf_id"][leaves[1]] = tree["leaf_id"][leaves[0]]
 
 
 class TestFitTimed:

@@ -1,8 +1,5 @@
 import itertools
 import json
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -847,38 +844,19 @@ class TestPredict:
             tree.predict(sp.csr_matrix(X)), tree.predict(X)
         )
 
-    @pytest.mark.parametrize("leaf_id", [-1, 2], ids=["negative", "past-the-end"])
-    def test_leaf_id_outside_leaf_values_rejected(self, leaf_id):
-        # A hand-built stump whose left leaf names no row of its two leaf_values.
-        tree = Tree(np.array([0, -1, -1]), np.array([0.5, 0.0, 0.0]), np.array([1, -1, -1]),
-                    np.array([2, -1, -1]), np.array([-1, leaf_id, 1]),
-                    np.array([[1.0], [2.0]]), np.array([1, 1]), 1)
-        with pytest.raises(ValueError, match=r"^leaf_id must lie in \[0, 2\) on every leaf"):
-            tree.predict(np.array([[0.0], [1.0]]))
-
-    @pytest.mark.parametrize("feature, left, right", [
-        ([0], [0], [0]),
-        ([0, 0], [1, 0], [1, 0]),
-    ], ids=["self-loop", "two-node-cycle"])
-    def test_cyclic_arrays_raise_instead_of_looping(self, feature, left, right):
-        # Run in a child process, so that a routing loop that never ends
-        # fails on the timeout instead of hanging the suite.
-        n = len(feature)
-        code = (
-            "import numpy as np\n"
-            "from projforest.tree import Tree\n"
-            "tree = Tree(np.array({}), np.zeros({n}), np.array({}), np.array({}),\n"
-            "            np.full({n}, -1), np.zeros((1, 1)), np.ones(1, dtype=np.int64), 1)\n"
-            "try:\n"
-            "    tree.apply(np.zeros((3, 1)))\n"
-            "except ValueError as exc:\n"
-            "    print(exc)\n"
-        ).format(feature, left, right, n=n)
-        src = os.path.dirname(os.path.dirname(tree_module.__file__))
-        env = dict(os.environ, PYTHONPATH=src)
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                              text=True, timeout=30, env=env)
-        assert proc.stdout.startswith("the tree arrays hold a cycle"), proc.stderr
+    @pytest.mark.parametrize("feature, threshold, n_leaves", [
+        ([0, 0, 0], [0.5, 0.5, 0.5], 2),
+        ([-1, 0, -1], [0.0, 0.5, 0.0], 2),
+        ([0, -1, -1], [0.5, 0.0, 0.0], 1),
+        ([0, -1, -1], [0.5, 0.0], 2),
+    ], ids=["too-few-nodes", "split-node-without-parent", "one-leaf-row-for-two-leaves",
+            "short-threshold"])
+    def test_arrays_that_are_not_one_level_order_tree_rejected(self, feature, threshold,
+                                                               n_leaves):
+        with pytest.raises(ValueError, match="^feature does not encode one binary tree in "
+                                             "level order"):
+            Tree(np.array(feature), np.array(threshold), np.ones((n_leaves, 1)),
+                 np.ones(n_leaves, dtype=np.int64), 1)
 
 
 class TestVarianceTransferInTrees:
@@ -957,9 +935,27 @@ class TestSerialization:
         with pytest.raises(ValueError):
             Tree.from_dict(doc)
 
+    # A stump as version 2 saved it, with its children and leaf ids.
+    VERSION_2_STUMP = {
+        "format": "projforest-tree", "version": 2, "n_features": 1,
+        "feature": [0, -1, -1], "threshold": [0.5, 0.0, 0.0], "children_left": [1, -1, -1],
+        "children_right": [2, -1, -1], "leaf_id": [-1, 0, 1],
+        "leaf_values": [[1.0], [2.0]], "leaf_counts": [1, 1],
+    }
+
+    def test_version_2_document_rejected_by_version(self):
+        with pytest.raises(ValueError, match="^unsupported tree document version: 2$"):
+            Tree.from_dict(dict(self.VERSION_2_STUMP))
+
+    def test_version_2_document_relabelled_rejected_by_field(self):
+        with pytest.raises(ValueError,
+                           match="^tree document has an unknown field 'children_left'$"):
+            Tree.from_dict(dict(self.VERSION_2_STUMP, version=Tree.VERSION))
+
     @pytest.mark.parametrize("mutate, message", [
         (lambda doc: doc.update(format="projforest-ensemble"), "not a serialized tree"),
-        (lambda doc: doc["threshold"].pop(), "node arrays differ in length"),
+        (lambda doc: doc["threshold"].pop(),
+         "feature does not encode one binary tree in level order"),
         (lambda doc: doc["feature"].__setitem__(0, doc["n_features"]),
          "split feature is out of range"),
         (lambda doc: doc["threshold"].__setitem__(0, np.nan), "threshold is not finite"),
@@ -971,13 +967,7 @@ class TestSerialization:
         # Each value below is one that a cast would turn into a valid tree.
         (lambda doc: doc["feature"].__setitem__(0, doc["feature"][0] + 0.9),
          "feature must hold integers"),
-        (lambda doc: doc["children_left"].__setitem__(0, 1.5),
-         "children_left must hold integers"),
-        (lambda doc: doc["children_right"].__setitem__(0, 1e20),
-         "children_right must hold integers"),
         (lambda doc: doc["feature"].__setitem__(0, True), "feature must hold integers"),
-        (lambda doc: doc["leaf_id"].__setitem__(-1, str(doc["leaf_id"][-1])),
-         "leaf_id must hold integers"),
         (lambda doc: doc["threshold"].__setitem__(0, repr(doc["threshold"][0])),
          "threshold must hold numbers"),
         (lambda doc: doc.update(n_features=3.7), "n_features must be an integer"),
@@ -994,13 +984,13 @@ class TestSerialization:
         (lambda doc: doc["leaf_counts"].__setitem__(0, 0), "leaf_counts must hold a count"),
         (lambda doc: doc["leaf_counts"].__setitem__(-1, -3), "leaf_counts must hold a count"),
         (lambda doc: doc["leaf_counts"].pop(), "leaf_counts must hold a count"),
+        (lambda doc: doc.update(depth=3), "^tree document has an unknown field 'depth'$"),
     ], ids=["format", "node-array-length", "feature-out-of-range", "nan-threshold",
             "inf-threshold", "inf-leaf-value", "nan-leaf-value", "fractional-feature",
-            "fractional-child", "huge-child", "bool-feature", "string-leaf-id",
-            "string-threshold", "fractional-n-features", "string-n-features",
+            "bool-feature", "string-threshold", "fractional-n-features", "string-n-features",
             "fractional-leaf-count", "missing-n-features", "missing-threshold",
             "scalar-threshold", "ragged-leaf-values", "flat-leaf-values", "zero-leaf-count",
-            "negative-leaf-count", "short-leaf-counts"])
+            "negative-leaf-count", "short-leaf-counts", "unknown-field"])
     def test_corrupt_document_rejected(self, mutate, message):
         gen = np.random.default_rng(16)
         X = gen.random((30, 3))
